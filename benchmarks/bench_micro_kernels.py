@@ -24,7 +24,7 @@ from repro.core.statistics import run_statistics_job
 from repro.evaluation import ExperimentRun, RunSpec
 from repro.mapreduce import Cluster, CostModel, ParallelExecutor, SerialExecutor
 from repro.similarity import (
-    batch_is_match,
+    BatchMatcher,
     books_matcher,
     citeseer_matcher,
     clear_similarity_cache,
@@ -69,7 +69,7 @@ def test_matcher_throughput(benchmark, citeseer_dataset):
     pairs = [tuple(rng.sample(citeseer_dataset.entities, 2)) for _ in range(40)]
 
     def kernel():
-        return sum(matcher.is_match(a, b) for a, b in pairs)
+        return sum(BatchMatcher(matcher).decisions(pairs))
 
     benchmark(kernel)
 
@@ -329,7 +329,7 @@ def test_threshold_propagation_reduces_banded_work(books_dataset, report):
     def _run_decisions():
         clear_similarity_cache()
         reset_dp_cell_counters()
-        decisions = [matcher.is_match(a, b) for a, b in pairs]
+        decisions = BatchMatcher(matcher).decisions(pairs)
         return decisions, sum(dp_cell_counters().values())
 
     propagated_decisions, propagated_cells = _run_decisions()
@@ -349,15 +349,15 @@ def test_threshold_propagation_reduces_banded_work(books_dataset, report):
 
 
 def test_batch_kernel_call_reduction(books_dataset, report):
-    """The batched kernel must make ≥3x fewer Python-level calls than the
-    per-pair scalar path on the same fixed batch.
+    """The batch decider must make ≥4x fewer Python-level calls than
+    the per-pair reference ``is_match`` on the same fixed batch.
 
     This is the machine-independent core of the wall-clock claim: batching
     amortizes attribute extraction, rule dispatch and memo lookups across
     the batch, so the interpreter executes far fewer function calls for
     identical decisions.  Calls are counted with ``sys.setprofile`` 'call'
     events (Python frames only — C entry points are excluded on both
-    sides, so numpy availability does not skew the ratio).
+    sides, so the numpy exact columns do not skew the ratio).
     """
     matcher = books_matcher()
     rng = random.Random(13)
@@ -384,17 +384,22 @@ def test_batch_kernel_call_reduction(books_dataset, report):
             sys.setprofile(None)
         return result, calls
 
-    scalar, scalar_calls = _count_calls(
+    reference, reference_calls = _count_calls(
         lambda: [matcher.is_match(a, b) for a, b in pairs]
     )
-    batched, batch_calls = _count_calls(lambda: batch_is_match(matcher, pairs))
-    ratio = scalar_calls / max(batch_calls, 1)
+    batched, batch_calls = _count_calls(
+        lambda: BatchMatcher(matcher).decisions(pairs)
+    )
+    ratio = reference_calls / max(batch_calls, 1)
     report(
         f"batch kernel call reduction on {len(pairs)} pairs: "
-        f"scalar {scalar_calls:,} calls vs batch {batch_calls:,} "
+        f"reference {reference_calls:,} calls vs batch {batch_calls:,} "
         f"({ratio:.1f}x fewer)"
     )
-    assert batched == scalar
-    assert ratio >= 3.0, (
-        f"batch kernel only cut Python calls by {ratio:.2f}x (need >=3x)"
+    assert batched == reference
+    # The unbounded reference makes more calls than the bounded per-pair
+    # matcher it replaced (10,493 vs 7,897 here), so 3x against that one
+    # is ~4x against this one.
+    assert ratio >= 4.0, (
+        f"batch kernel only cut Python calls by {ratio:.2f}x (need >=4x)"
     )

@@ -35,7 +35,8 @@ from ..data.entity import Entity, Pair, pair_key
 from ..mapreduce.engine import Cluster
 from ..mapreduce.job import MapReduceJob, Mapper, Partitioner, Reducer, TaskContext
 from ..mapreduce.types import Event, JobResult
-from ..mechanisms.base import block_sort_key
+from ..mechanisms.base import block_sort_key, decide_in_batches
+from ..similarity.batch import BatchMatcher
 from ..similarity.matchers import WeightedMatcher
 
 #: Map key: (partition index, sort key, replica flag); the replica flag
@@ -113,11 +114,10 @@ class MrsnReducer(Reducer):
             self._ordered.append((entity, is_replica))
 
     def cleanup(self, context: TaskContext) -> None:
-        config = self._config
-        matcher = config.matcher
-        window = config.window
+        window = self._config.window
         ordered = self._ordered
         context.charge(context.cost_model.sort_cost(len(ordered)))
+        pairs: List[Tuple[Entity, Entity]] = []
         for i in range(len(ordered)):
             entity_i, replica_i = ordered[i]
             for j in range(i + 1, min(len(ordered), i + window)):
@@ -126,16 +126,17 @@ class MrsnReducer(Reducer):
                     continue  # both belong to the preceding partition
                 if entity_i.id == entity_j.id:
                     continue  # an entity next to its own replica
-                context.charge(
-                    context.cost_model.compare
-                    * matcher.comparison_cost_factor(entity_i, entity_j)
-                )
-                if matcher.is_match(entity_i, entity_j):
-                    # Plain MR jobs commit reducer output only when the
-                    # task completes — no incremental α-flushing here, so
-                    # the pair becomes *available* at task end (see
-                    # MrsnResult's availability semantics).
-                    context.write(pair_key(entity_i.id, entity_j.id))
+                pairs.append((entity_i, entity_j))
+        compare_cost = context.cost_model.compare
+        batcher = BatchMatcher(self._config.matcher)
+        for (entity_i, entity_j), factor, is_dup in decide_in_batches(batcher, pairs):
+            context.charge(compare_cost * factor)
+            if is_dup:
+                # Plain MR jobs commit reducer output only when the task
+                # completes — no incremental α-flushing here, so the pair
+                # becomes *available* at task end (see MrsnResult's
+                # availability semantics).
+                context.write(pair_key(entity_i.id, entity_j.id))
 
 
 @dataclass

@@ -72,7 +72,7 @@ from .evaluation import (
 from .evaluation.charts import ascii_chart
 from .mapreduce import BACKENDS, FaultPlan, RetryPolicy, SpeculationConfig
 from .mapreduce.executors import make_executor
-from .mechanisms import PSNM, SortedNeighborHint, set_default_batch_pairs
+from .mechanisms import PSNM, SortedNeighborHint
 from .scheduling import AdmissionPolicy, JobScheduler, poisson_arrivals
 from .observability import (
     MetricsRegistry,
@@ -296,14 +296,6 @@ def _add_backend_options(parser: argparse.ArgumentParser) -> None:
         "strategies",
     )
     parser.add_argument(
-        "--batch-pairs",
-        type=int,
-        default=None,
-        help="pairs decided per batched similarity-kernel call during "
-        "block resolution (default 64; 1 forces the scalar per-pair "
-        "path; decisions are bit-identical at any width)",
-    )
-    parser.add_argument(
         "--metablock",
         choices=METABLOCK_MODES,
         default="off",
@@ -505,9 +497,6 @@ def _command_generate(args: argparse.Namespace) -> int:
 
 def _run_spec(args: argparse.Namespace, config, **overrides) -> RunSpec:
     """A RunSpec wired from the shared CLI options."""
-    batch_pairs = getattr(args, "batch_pairs", None)
-    if batch_pairs is not None:
-        set_default_batch_pairs(batch_pairs)
     backend = getattr(args, "backend", None)
     executor = None
     if backend == "process" and getattr(args, "perf_report", False):
@@ -680,7 +669,6 @@ def _build_service(args: argparse.Namespace, tracer, metrics):
         machines=args.machines,
         balance=args.balance,
         min_family_matches=args.min_family_matches,
-        batch_pairs=args.batch_pairs,
         backend=args.backend,
         workers=args.workers,
         tracer=tracer,
@@ -745,7 +733,6 @@ def _command_submit(args: argparse.Namespace) -> int:
         machines=args.machines,
         balance=args.balance,
         min_family_matches=args.min_family_matches,
-        batch_pairs=args.batch_pairs,
         backend=args.backend,
         workers=args.workers,
         tracer=tracer,

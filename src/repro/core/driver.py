@@ -284,10 +284,10 @@ def resolve_scheduled_block(
     pairs are decided dozens at a time by
     :class:`~repro.similarity.batch.BatchMatcher` and the outcomes replayed
     in stream order, so the ``ok_to_resolve`` veto / ``tree_resolved``
-    bookkeeping here observes exactly the scalar sequence of events (both
-    are keyed by the entity-id pair, which the driver's same-pair flush
-    guard relies on).  Decisions, charges, events and stop points are
-    bit-identical to per-pair ``matcher.is_match`` resolution.
+    bookkeeping here observes the events in stream order (both are keyed
+    by the entity-id pair, which the driver's same-pair flush guard relies
+    on).  Decisions, charges, events and stop points are bit-identical to
+    per-pair ``matcher.is_match`` resolution.
     """
     if len(routed) < 2:
         return

@@ -9,7 +9,6 @@ from .base import (
     ResolveStats,
     StopCondition,
     resolve_block,
-    set_default_batch_pairs,
     window_pairs_count,
 )
 from .full import FullResolution
@@ -33,5 +32,4 @@ __all__ = [
     "HierarchyHint",
     "PopcornCondition",
     "DEFAULT_BATCH_PAIRS",
-    "set_default_batch_pairs",
 ]

@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..data.entity import Entity, pair_key
 from ..mapreduce.job import MapReduceJob, Mapper, Partitioner, Reducer, TaskContext, stable_hash
-from ..mechanisms import base as _mechanisms_base
+from ..mechanisms.base import decide_in_batches
 from ..similarity.batch import BatchMatcher
 from ..similarity.matchers import WeightedMatcher
 from .store import ROUTE_SEP, BlockRoute, route_label
@@ -217,14 +217,12 @@ class DeltaReducer(Reducer):
         shards: Dict[str, Tuple[int, int]],
         *,
         min_family_matches: int = 2,
-        batch_pairs: Optional[int] = None,
         cross_source_only: bool = False,
     ) -> None:
         self._matcher = matcher
         self._family_order = tuple(family_order)
         self._shards = shards
         self._min_matches = min(max(1, min_family_matches), len(self._family_order))
-        self._batch_pairs = batch_pairs
         self._cross_source_only = cross_source_only
         self._batcher: Optional[BatchMatcher] = None
 
@@ -259,21 +257,17 @@ class DeltaReducer(Reducer):
         if candidates:
             if self._batcher is None:
                 self._batcher = BatchMatcher(self._matcher)
-            width = self._batch_pairs or _mechanisms_base.DEFAULT_BATCH_PAIRS
             compare_cost = context.cost_model.compare
-            for start in range(0, len(candidates), max(1, width)):
-                chunk = candidates[start : start + max(1, width)]
-                factors = self._batcher.cost_factors(chunk)
-                decisions = self._batcher.decisions(chunk)
-                for (entity_a, entity_b), factor, is_dup in zip(chunk, factors, decisions):
-                    context.charge(compare_cost * factor)
-                    context.counters.increment("service", "comparisons")
-                    pair = pair_key(entity_a.id, entity_b.id)
-                    if is_dup:
-                        found += 1
-                        context.counters.increment("service", "duplicates")
-                        context.record_event("duplicate", pair)
-                    context.write((pair, is_dup))
+            decided = decide_in_batches(self._batcher, candidates)
+            for (entity_a, entity_b), factor, is_dup in decided:
+                context.charge(compare_cost * factor)
+                context.counters.increment("service", "comparisons")
+                pair = pair_key(entity_a.id, entity_b.id)
+                if is_dup:
+                    found += 1
+                    context.counters.increment("service", "duplicates")
+                    context.record_event("duplicate", pair)
+                context.write((pair, is_dup))
         context.counters.increment("service", "blocks_resolved")
         if trace:
             context.record_span(
@@ -293,7 +287,6 @@ def build_delta_job(
     family_order: Sequence[str],
     *,
     min_family_matches: int = 2,
-    batch_pairs: Optional[int] = None,
     cross_source_only: bool = False,
     alpha: Optional[float] = None,
     name: str = "delta-resolution",
@@ -312,7 +305,6 @@ def build_delta_job(
             order,
             shards,
             min_family_matches=min_family_matches,
-            batch_pairs=batch_pairs,
             cross_source_only=cross_source_only,
         ),
         partitioner=DeltaPartitioner(dict(plan.assignment)),

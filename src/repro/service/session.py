@@ -17,7 +17,7 @@ timeline regardless of which API drove the work.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from typing import Any, Sequence
 
 from ..baselines.basic import BasicER
 from ..core.driver import ProgressiveER
@@ -25,7 +25,6 @@ from ..mapreduce.clock import CostModel
 from ..mapreduce.engine import Cluster, JobResult
 from ..mapreduce.executors import make_executor
 from ..mapreduce.job import MapReduceJob
-from ..mechanisms import base as _mechanisms_base
 from ..similarity.matchers import similarity_cache_counters
 
 #: Slots per machine of the paper's cluster (Section VI-A1).
@@ -99,24 +98,17 @@ class ResolverSession:
             )
         label = spec.resolved_label()
         self.begin_run(label)
-        previous_width = _mechanisms_base.DEFAULT_BATCH_PAIRS
-        if spec.batch_pairs is not None:
-            _mechanisms_base.set_default_batch_pairs(spec.batch_pairs)
-        try:
-            if spec.is_basic:
-                result = BasicER(spec.config, self.cluster).run(spec.dataset)
-            else:
-                result = ProgressiveER(
-                    spec.config,
-                    self.cluster,
-                    strategy=spec.strategy,
-                    seed=spec.seed,
-                    balance=spec.balance,
-                    metablock=spec.metablock,
-                ).run(spec.dataset)
-        finally:
-            if spec.batch_pairs is not None:
-                _mechanisms_base.set_default_batch_pairs(previous_width)
+        if spec.is_basic:
+            result = BasicER(spec.config, self.cluster).run(spec.dataset)
+        else:
+            result = ProgressiveER(
+                spec.config,
+                self.cluster,
+                strategy=spec.strategy,
+                seed=spec.seed,
+                balance=spec.balance,
+                metablock=spec.metablock,
+            ).run(spec.dataset)
         if spec.metrics is not None and getattr(result, "balance", None) is not None:
             spec.metrics.snapshot(
                 "balance",

@@ -1,36 +1,39 @@
-"""Batched similarity kernels: decide many pairs per Python call.
+"""The match decider: decide many pairs per Python call.
 
-:class:`~repro.similarity.matchers.WeightedMatcher` decides one pair per
-call, and every call pays the same fixed tolls — attribute lookups and
-truncation slices (``AttributeRule.values``), method dispatch through
-``is_match -> _bounded_match -> rule.similarity -> _memo_compare``, and
-tuple keys into the process-wide memo.  Block resolution asks the same
-question for *hundreds* of pairs over the *same few dozen* entities (an
-SN window of width ``w`` visits each entity in up to ``2(w-1)`` pairs), so
-almost all of that per-call work is redundant.
+Block resolution asks :class:`~repro.similarity.matchers.WeightedMatcher`'s
+question for *hundreds* of pairs over the *same few dozen* entities (an SN
+window of width ``w`` visits each entity in up to ``2(w-1)`` pairs).
+Asked one pair per call, every call pays the same fixed tolls — attribute
+lookups and truncation slices, method dispatch per rule, and tuple keys
+into the process-wide memo — so almost all of that per-call work is
+redundant.
 
-:class:`BatchMatcher` amortizes it:
+:class:`BatchMatcher` is the one decider every resolve path uses, and it
+amortizes that work:
 
 * **per-entity value tables** — each entity's (truncated) attribute values,
   their lengths, and integer codes for exact-comparator values are computed
   once per entity and reused by every pair that touches it;
-* **rule-major evaluation** — the outer loop runs over rules (in the same
-  cheapest-first order the scalar path uses), the inner loop over the pairs
-  still alive, with the rule's weight/comparator hoisted into locals;
-* **batched short-circuits** — the scalar path's upper-bound cutoff and the
-  threshold-propagating edit-distance floor run per pair inside the batch,
-  so a dead pair drops out of every later (more expensive) rule;
-* **optional numpy fast path** — exact-comparator columns are evaluated as
-  vectorized integer-code comparisons when numpy is importable and the
-  batch is large enough; a pure-python loop covers every other case.
+* **rule-major evaluation** — the outer loop runs over rules cheapest-first
+  (``WeightedMatcher._eval_order``), the inner loop over the pairs still
+  alive, with the rule's weight/comparator hoisted into locals;
+* **bounded short-circuits** — after each rule an upper bound on the
+  achievable weighted similarity (every unevaluated rule scoring a perfect
+  1.0) retires pairs that can no longer reach the threshold, and edit rules
+  pass a threshold-propagated floor into the banded kernel, so a dead pair
+  drops out of every later (more expensive) rule;
+* **numpy exact columns** — exact-comparator columns are evaluated as
+  vectorized integer-code comparisons once the batch is large enough.
 
-Decisions are **bit-identical** to the scalar matcher: the same float
-expressions accumulate in the same order with the same ``1e-9`` / ``1e-7``
-guard margins (floors are computed by :meth:`WeightedMatcher._rule_floor`
-itself), the final weighted sum is re-accumulated in original rule order,
-and edit kernels are reached through the same memo functions.  The property
-suite in ``tests/test_batch_kernels.py`` pins the equivalence on random
-matchers, and the differential harness pins it end-to-end.
+Decisions are **bit-identical** to the unbounded reference
+``matcher.similarity(e1, e2) >= matcher.threshold``: cutoffs only fire
+behind ``1e-9`` / ``1e-7`` guard margins (floors are computed by
+:meth:`WeightedMatcher._rule_floor`), the final weighted sum is
+re-accumulated in original rule order, and edit kernels are reached
+through the same memo functions.  The property suites in
+``tests/test_batch_kernels.py`` and ``tests/test_property_kernels.py`` pin
+the equivalence on random matchers, and the differential harness pins it
+end-to-end.
 
 What batching may legitimately change: wall-clock time and the memo
 hit/miss counters (a batch deduplicates identical value pairs before
@@ -40,6 +43,8 @@ consulting the memo), both of which live outside virtual time.
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as _np
 
 from ..data.entity import Entity
 from .matchers import (
@@ -52,31 +57,13 @@ from .matchers import (
     _memo_edit_at_least,
 )
 
-try:  # pragma: no cover - exercised via the fallback flag either way
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is optional by design
-    _np = None
-
 #: Batches below this size skip the numpy path: array construction costs
 #: more than the handful of string comparisons it replaces.
 NUMPY_MIN_PAIRS = 16
 
-#: Comparators whose cost the scalar cost model treats as negligible
+#: Comparators whose cost the cost model treats as negligible
 #: (mirrors the tuple in ``WeightedMatcher.comparison_cost_factor``).
 _CHEAP_COMPARATORS = ("exact", "token_jaccard", "qgram")
-
-_STATS = {"batches": 0, "pairs": 0, "numpy_batches": 0}
-
-
-def batch_kernel_counters() -> Dict[str, int]:
-    """Process-wide batch-kernel invocation counters (wall-clock facts)."""
-    return dict(_STATS)
-
-
-def reset_batch_kernel_counters() -> None:
-    for name in _STATS:
-        _STATS[name] = 0
-
 
 PairSeq = Sequence[Tuple[Entity, Entity]]
 
@@ -89,19 +76,18 @@ class BatchMatcher:
     call :meth:`decisions` / :meth:`cost_factors` with lists of pairs.
 
     Args:
-        matcher: the scalar matcher whose decisions are reproduced.
-        use_numpy: enable the vectorized exact-comparator path (ignored
-            when numpy is not importable).
+        matcher: the weighted-sum matcher whose rules, threshold and pair
+            cache define the decisions.
     """
 
-    def __init__(self, matcher: WeightedMatcher, *, use_numpy: bool = True) -> None:
+    def __init__(self, matcher: WeightedMatcher) -> None:
         self.matcher = matcher
         rules = matcher.rules
         self._rules: List[AttributeRule] = rules
         self._eval_order = matcher._eval_order
         self._threshold = matcher.threshold
         self._total_weight = matcher._total_weight
-        #: ``threshold - 1e-9`` exactly as the scalar cutoff computes it.
+        #: Upper-bound cutoff, with a margin for evaluation-order float noise.
         self._cutoff = matcher.threshold - 1e-9
         self._exact_indices = tuple(
             i for i, rule in enumerate(rules) if rule.comparator == "exact"
@@ -111,7 +97,6 @@ class BatchMatcher:
             if rule.comparator not in _CHEAP_COMPARATORS
         )
         self._cost_denominator = len(self._quad_indices) * REFERENCE_LENGTH
-        self._use_numpy = use_numpy and _np is not None
         #: entity id -> (values, lengths, exact-value codes), one row each.
         self._rows: Dict[int, Tuple[tuple, tuple, tuple]] = {}
         #: exact-comparator value -> small integer code ("" is always 0, so
@@ -160,8 +145,6 @@ class BatchMatcher:
         """``[matcher.is_match(e1, e2) for e1, e2 in pairs]``, batched."""
         if not pairs:
             return []
-        _STATS["batches"] += 1
-        _STATS["pairs"] += len(pairs)
         if self.matcher._cache is not None:
             return self._cached_decisions(pairs)
         return self._bounded_decisions(pairs)
@@ -172,7 +155,7 @@ class BatchMatcher:
         Integer codes compare equal iff the strings do, and code 0 is the
         empty string, so one array comparison yields the whole column.
         ``tolist()`` converts back to the exact Python floats/bools the
-        scalar path produces (0.0 / 1.0 literals).
+        per-pair path produces (0.0 / 1.0 literals).
         """
         columns = {}
         for index in self._exact_indices:
@@ -186,12 +169,16 @@ class BatchMatcher:
         return columns
 
     def _bounded_decisions(self, pairs: PairSeq) -> List[bool]:
-        """Mirror of ``WeightedMatcher._bounded_match`` over a batch.
+        """Bounded ``similarity >= threshold`` over a batch.
 
         Rule-major: for each rule in cheapest-first order, evaluate every
-        pair still alive, updating the per-pair running bound exactly as
-        the scalar loop does.  A pair leaves ``alive`` the moment any
-        scalar early-return would have fired for it.
+        pair still alive and update its running bound.  A pair leaves
+        ``alive`` the moment its bound proves it cannot match: every
+        evaluated rule missing on both sides, the upper bound (unevaluated
+        rules assumed perfect) below ``threshold - 1e-9``, or an edit rule
+        scoring below its propagated floor.  Survivors are re-accumulated
+        in original rule order, so their decision is the exact one
+        :meth:`WeightedMatcher.similarity` would give.
         """
         n = len(pairs)
         rules = self._rules
@@ -200,8 +187,7 @@ class BatchMatcher:
         cutoff = self._cutoff
         rows1, rows2 = self._row_columns(pairs)
         exact_columns = None
-        if self._use_numpy and n >= NUMPY_MIN_PAIRS and self._exact_indices:
-            _STATS["numpy_batches"] += 1
+        if n >= NUMPY_MIN_PAIRS and self._exact_indices:
             exact_columns = self._exact_columns(rows1, rows2)
 
         sims: List[List[Optional[float]]] = [[None] * num_rules for _ in range(n)]
@@ -248,7 +234,7 @@ class BatchMatcher:
                         )
                         floors[fkey] = floor
                     if floor > 1.0:
-                        continue  # scalar: return False
+                        continue  # cannot match even with a perfect score
                     if floor > 0.0:
                         ekey = (v1, v2, floor)
                         sim = local.get(ekey)
@@ -256,7 +242,7 @@ class BatchMatcher:
                             sim = _memo_edit_at_least(v1, v2, floor)
                             local[ekey] = sim
                         if sim == _BELOW_FLOOR:
-                            continue  # scalar: return False
+                            continue  # below the floor: the cutoff would fire
                     else:
                         sim = local.get((v1, v2))
                         if sim is None:
@@ -274,12 +260,12 @@ class BatchMatcher:
                     weights[p] += weight
                 bound_weight = weights[p] + remaining_after
                 if bound_weight == 0.0:
-                    continue  # scalar: return False (all rules missing)
+                    continue  # every evaluated rule missing on both sides
                 if (
                     remaining_after > 0.0
                     and (totals[p] + remaining_after) / bound_weight < cutoff
                 ):
-                    continue  # scalar: return False (upper bound too low)
+                    continue  # upper bound below the threshold
                 next_alive.append(p)
             alive = next_alive
 
@@ -288,7 +274,7 @@ class BatchMatcher:
         for p in alive:
             if weights[p] == 0.0:
                 continue
-            # Re-accumulate in original rule order, like the scalar path.
+            # Re-accumulate in original rule order, like ``similarity``.
             exact_total = 0.0
             exact_weight = 0.0
             pair_sims = sims[p]
@@ -333,8 +319,7 @@ class BatchMatcher:
         n = len(pairs)
         rows1, rows2 = self._row_columns(pairs)
         exact_columns = None
-        if self._use_numpy and n >= NUMPY_MIN_PAIRS and self._exact_indices:
-            _STATS["numpy_batches"] += 1
+        if n >= NUMPY_MIN_PAIRS and self._exact_indices:
             exact_columns = self._exact_columns(rows1, rows2)
         totals = [0.0] * n
         weights = [0.0] * n
@@ -371,7 +356,7 @@ class BatchMatcher:
     def cost_factors(self, pairs: PairSeq) -> List[float]:
         """``[matcher.comparison_cost_factor(e1, e2) ...]``, batched.
 
-        Same float sequence as the scalar loop: per quadratic rule in
+        Same float sequence as the per-pair method: per quadratic rule in
         original order, ``(len(v1) + len(v2)) / 2.0`` summed, divided by
         ``quadratic_rules * REFERENCE_LENGTH`` and clamped.
         """
@@ -392,43 +377,4 @@ class BatchMatcher:
         return out
 
 
-# ---------------------------------------------------------------------------
-# Functional wrappers
-# ---------------------------------------------------------------------------
-
-
-def batch_similarity(
-    rules: Sequence[AttributeRule], pairs: PairSeq, *, use_numpy: bool = True
-) -> List[float]:
-    """Weighted similarities of ``pairs`` under ``rules``, batched.
-
-    Equivalent to ``[WeightedMatcher(rules, t).similarity(e1, e2) ...]``
-    for any threshold ``t`` (the threshold never enters the similarity).
-    """
-    matcher = WeightedMatcher(rules, threshold=1.0)
-    return BatchMatcher(matcher, use_numpy=use_numpy).similarities(pairs)
-
-
-def batch_is_match(
-    matcher: WeightedMatcher, pairs: PairSeq, *, use_numpy: bool = True
-) -> List[bool]:
-    """``[matcher.is_match(e1, e2) for e1, e2 in pairs]``, batched."""
-    return BatchMatcher(matcher, use_numpy=use_numpy).decisions(pairs)
-
-
-def batch_cost_factors(
-    matcher: WeightedMatcher, pairs: PairSeq
-) -> List[float]:
-    """``[matcher.comparison_cost_factor(e1, e2) ...]``, batched."""
-    return BatchMatcher(matcher).cost_factors(pairs)
-
-
-__all__ = [
-    "BatchMatcher",
-    "batch_similarity",
-    "batch_is_match",
-    "batch_cost_factors",
-    "batch_kernel_counters",
-    "reset_batch_kernel_counters",
-    "NUMPY_MIN_PAIRS",
-]
+__all__ = ["BatchMatcher", "NUMPY_MIN_PAIRS"]

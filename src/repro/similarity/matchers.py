@@ -29,7 +29,8 @@ REFERENCE_LENGTH = 40.0
 MIN_COST_FACTOR = 0.2
 
 #: Relative wall-clock cost rank per comparator, used to order rule
-#: evaluation cheapest-first when a bounded match can short-circuit.
+#: evaluation cheapest-first so the bounded batch decider can
+#: short-circuit before the quadratic comparators.
 _COMPARATOR_RANK = {
     "exact": 0,
     "token_jaccard": 1,
@@ -70,10 +71,10 @@ def _memo_compare(comparator: str, v1: str, v2: str) -> float:
     block shares its blocking key's attribute, SN windows slide one record
     at a time), so ``(comparator, v1, v2)`` recurs across pairs, blocks and
     runs.  The memo only skips *wall-clock* work: virtual cost is charged
-    from string lengths by :meth:`WeightedMatcher.comparison_cost_factor`,
-    which never consults the cache, so cached and uncached paths charge
-    identically.  Process-backend workers each hold their own copy (forked
-    warm, then diverging), which likewise cannot affect virtual time.
+    from string lengths by ``BatchMatcher.cost_factors``, which never
+    consults the cache, so cached and uncached paths charge identically.
+    Process-backend workers each hold their own copy (forked warm, then
+    diverging), which likewise cannot affect virtual time.
     """
     key = (comparator, v1, v2)
     cached = _MEMO.get(key)
@@ -240,9 +241,9 @@ class WeightedMatcher:
         self.rules: List[AttributeRule] = list(rules)
         self.threshold = threshold
         self._cache: Optional[dict] = {} if cache else None
-        # Cheapest comparators first (stable on the original order), so a
-        # bounded match can rule a pair out before paying for quadratic
-        # edit distances on long attributes.
+        # Cheapest comparators first (stable on the original order), so the
+        # bounded batch decider can rule a pair out before paying for
+        # quadratic edit distances on long attributes.
         self._eval_order: List[int] = sorted(
             range(len(self.rules)),
             key=lambda i: (_COMPARATOR_RANK[self.rules[i].comparator], i),
@@ -281,84 +282,13 @@ class WeightedMatcher:
         return total / total_weight
 
     def is_match(self, e1: Entity, e2: Entity) -> bool:
-        """The resolve function: do ``e1`` and ``e2`` co-refer?"""
-        if self._cache is not None:
-            # The pair cache wants the full score anyway; no point bounding.
-            return self.similarity(e1, e2) >= self.threshold
-        return self._bounded_match(e1, e2)
+        """The resolve function: do ``e1`` and ``e2`` co-refer?
 
-    def _bounded_match(self, e1: Entity, e2: Entity) -> bool:
-        """Decide ``is_match`` evaluating cheap comparators first.
-
-        After each rule, an upper bound on the achievable weighted
-        similarity is checked: every unevaluated rule is assumed to score a
-        perfect 1.0 (which also dominates the missing-on-both-sides case,
-        where the weight drops from both numerator and denominator).  If
-        even that bound falls below the threshold the pair cannot match and
-        the remaining — typically quadratic — comparators are skipped.  When
-        no cutoff fires, the final sum is re-accumulated in the *original*
-        rule order so the decision is bit-for-bit the one
-        :meth:`similarity` would make.
-
-        Edit-distance rules additionally propagate the running bound *into*
-        the kernel: :meth:`_rule_floor` derives the minimum similarity this
-        rule must reach for the pair to stay alive, and the banded DP is
-        called with the matching distance bound so it can abandon rows the
-        moment the pair is dead — without changing any decision (a
-        below-floor result implies the post-rule cutoff would have fired).
+        The unbounded reference decision.  Resolve paths decide through
+        :class:`~repro.similarity.batch.BatchMatcher`, which reaches the
+        same verdicts while skipping work a bound proves irrelevant.
         """
-        sims: List[Optional[float]] = [None] * len(self.rules)
-        total = 0.0
-        total_weight = 0.0
-        remaining = self._total_weight
-        for index in self._eval_order:
-            rule = self.rules[index]
-            remaining_after = remaining - rule.weight
-            if rule.comparator == "edit":
-                v1, v2 = rule.values(e1, e2)
-                if not v1 and not v2:
-                    sim: Optional[float] = None
-                elif not v1 or not v2:
-                    sim = 0.0
-                else:
-                    floor = self._rule_floor(
-                        rule.weight, total, total_weight, remaining_after
-                    )
-                    if floor > 1.0:
-                        # Even a perfect score on this rule leaves the pair
-                        # below the cutoff bound: no kernel call needed.
-                        return False
-                    if floor > 0.0:
-                        sim = _memo_edit_at_least(v1, v2, floor)
-                        if sim == _BELOW_FLOOR:
-                            return False
-                    else:
-                        sim = _memo_compare("edit", v1, v2)
-            else:
-                sim = rule.similarity(e1, e2)
-            sims[index] = sim
-            remaining = remaining_after
-            if sim is not None:
-                total += rule.weight * sim
-                total_weight += rule.weight
-            bound_weight = total_weight + remaining
-            if bound_weight == 0.0:
-                return False  # every evaluated rule missing on both sides
-            # Conservative margin: the bound is accumulated in evaluation
-            # order, so give float reordering noise no chance to cut a pair
-            # that the exact original-order sum would accept.
-            if remaining > 0.0 and (total + remaining) / bound_weight < self.threshold - 1e-9:
-                return False
-        if total_weight == 0.0:
-            return False
-        exact_total = 0.0
-        exact_weight = 0.0
-        for rule, sim in zip(self.rules, sims):
-            if sim is None:
-                continue
-            exact_total += rule.weight * sim
-            exact_weight += rule.weight
-        return exact_total / exact_weight >= self.threshold
+        return self.similarity(e1, e2) >= self.threshold
 
     def _rule_floor(
         self,
@@ -369,7 +299,9 @@ class WeightedMatcher:
     ) -> float:
         """Minimum similarity this rule must score to keep the pair alive.
 
-        Derived by solving the post-rule cutoff inequality for this rule's
+        Used by :class:`~repro.similarity.batch.BatchMatcher` to bound the
+        edit kernel of a rule evaluated after earlier rules accumulated
+        ``total`` over ``total_weight``.  Derived by solving the post-rule cutoff inequality for this rule's
         similarity ``s``: the cutoff fires when
         ``(total + weight*s + remaining_after) / bound_weight <
         threshold - 1e-9`` (every later rule assumed perfect).  Any ``s``

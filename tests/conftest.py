@@ -1,7 +1,9 @@
 """Shared fixtures: small seeded datasets and paper-shaped configurations.
 
 Everything is session-scoped — datasets and matcher caches are expensive to
-build, deterministic, and read-only from the tests' perspective.
+build, deterministic, and read-only from the tests' perspective.  A caching
+matcher keys its pair cache by entity id, so each dataset fixture gets its
+own: datasets reuse ids for different records.
 """
 
 from __future__ import annotations
@@ -54,13 +56,19 @@ def books_small() -> Dataset:
 
 @pytest.fixture(scope="session")
 def shared_citeseer_matcher():
-    """A caching matcher reused across every test touching citeseer data."""
+    """A caching matcher reused across every test on ``citeseer_small``."""
+    return citeseer_matcher(cache=True)
+
+
+@pytest.fixture(scope="session")
+def shared_citeseer_medium_matcher():
+    """``citeseer_medium``'s own caching matcher (its ids overlap small's)."""
     return citeseer_matcher(cache=True)
 
 
 @pytest.fixture(scope="session")
 def shared_books_matcher():
-    """A caching matcher reused across every test touching book data."""
+    """A caching matcher reused across every test on ``books_small``."""
     return books_matcher(cache=True)
 
 
@@ -74,6 +82,12 @@ def small_cluster() -> Cluster:
 def citeseer_cfg(shared_citeseer_matcher):
     """Paper CiteSeerX configuration with the shared caching matcher."""
     return citeseer_config(matcher=shared_citeseer_matcher)
+
+
+@pytest.fixture()
+def citeseer_medium_cfg(shared_citeseer_medium_matcher):
+    """Paper CiteSeerX configuration for ``citeseer_medium`` runs."""
+    return citeseer_config(matcher=shared_citeseer_medium_matcher)
 
 
 @pytest.fixture()

@@ -4,7 +4,6 @@ event deduplication, and cost-factor sampling."""
 import pytest
 
 from repro.core.driver import ProgressiveER, ResolutionMapper, _first_discoveries
-from repro.core import citeseer_config
 from repro.mapreduce import Cluster
 from repro.mapreduce.types import Event
 
@@ -47,12 +46,12 @@ class TestCostFactorSampling:
 
 class TestSplitTreeRouting:
     def test_entities_routed_to_split_trees(
-        self, citeseer_medium, shared_citeseer_matcher
+        self, citeseer_medium, citeseer_medium_cfg
     ):
         """When the schedule splits a sub-tree off, the mapper must emit
         the sub-tree's entities to it (with the (n+1)-st dominance entry
         on the parent-tree emission)."""
-        config = citeseer_config(matcher=shared_citeseer_matcher)
+        config = citeseer_medium_cfg
         result = ProgressiveER(config, Cluster(10)).run(citeseer_medium)
         schedule = result.schedule
         split_trees = [
@@ -76,9 +75,9 @@ class TestSplitTreeRouting:
         assert long_lists > 0, "parent-tree emissions must carry split entries"
 
     def test_split_entries_reference_real_trees(
-        self, citeseer_medium, shared_citeseer_matcher
+        self, citeseer_medium, citeseer_medium_cfg
     ):
-        config = citeseer_config(matcher=shared_citeseer_matcher)
+        config = citeseer_medium_cfg
         result = ProgressiveER(config, Cluster(10)).run(citeseer_medium)
         schedule = result.schedule
         doms = set(schedule.dominance.values())

@@ -106,18 +106,18 @@ class TestBlockingEdges:
 
 
 class TestPipelineEdges:
-    def test_tiny_dataset_runs(self, shared_citeseer_matcher):
+    def test_tiny_dataset_runs(self):
         ds = make_citeseer(20, seed=1)
         config = citeseer_config(
-            matcher=shared_citeseer_matcher, train_fraction=1.0
+            matcher=citeseer_matcher(), train_fraction=1.0
         )
         result = ProgressiveER(config, Cluster(1)).run(ds)
         assert result.total_time > 0
 
-    def test_dataset_without_duplicates(self, shared_citeseer_matcher):
+    def test_dataset_without_duplicates(self):
         ds = make_citeseer(60, seed=2, duplicate_ratio=0.0)
         config = citeseer_config(
-            matcher=shared_citeseer_matcher, train_fraction=1.0
+            matcher=citeseer_matcher(), train_fraction=1.0
         )
         result = ProgressiveER(config, Cluster(1)).run(ds)
         # No true pairs: everything reported (if anything) is a false
@@ -131,10 +131,10 @@ class TestPipelineEdges:
         )
         assert curve.final_recall > 0.7
 
-    def test_more_reduce_tasks_than_trees_possible(self, shared_citeseer_matcher):
+    def test_more_reduce_tasks_than_trees_possible(self):
         ds = make_citeseer(40, seed=4)
         config = citeseer_config(
-            matcher=shared_citeseer_matcher, train_fraction=1.0
+            matcher=citeseer_matcher(), train_fraction=1.0
         )
         # 10 machines = 20 reduce tasks for a ~handful of trees.
         result = ProgressiveER(config, Cluster(10)).run(ds)

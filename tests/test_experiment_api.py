@@ -137,10 +137,6 @@ class TestRunSpecValidation:
         with pytest.raises(ValueError, match="workers must be a positive"):
             RunSpec(None, citeseer_cfg, backend="process", workers=0)
 
-    def test_negative_batch_pairs_rejected(self, citeseer_cfg):
-        with pytest.raises(ValueError, match="batch_pairs must be a positive"):
-            RunSpec(None, citeseer_cfg, batch_pairs=-4)
-
     def test_nonpositive_machines_rejected(self, citeseer_cfg):
         with pytest.raises(ValueError, match="machines must be a positive"):
             RunSpec(None, citeseer_cfg, machines=0)

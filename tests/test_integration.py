@@ -21,7 +21,7 @@ from repro.mechanisms import PSNM, SortedNeighborHint
 @pytest.fixture(scope="module")
 def headline_runs(request):
     dataset = request.getfixturevalue("citeseer_medium")
-    matcher = request.getfixturevalue("shared_citeseer_matcher")
+    matcher = request.getfixturevalue("shared_citeseer_medium_matcher")
     from repro.core import citeseer_config
 
     ours = ExperimentRun(
@@ -67,6 +67,22 @@ class TestHeadlineClaim:
         q_ours = quality(ours.result.duplicate_events, dataset, samples, linear_weights)
         q_basic = quality(basic.result.duplicate_events, dataset, samples, linear_weights)
         assert q_ours > q_basic
+
+
+class TestFixtureCacheIsolation:
+    def test_medium_pairs_unaffected_by_small_run(
+        self, citeseer_small, citeseer_cfg, citeseer_medium, citeseer_medium_cfg
+    ):
+        """The pair cache is keyed by entity id and both citeseer fixtures
+        number their entities from 0, so a matcher shared between them
+        answers medium's pairs with small's similarities.  Each fixture
+        must bring its own cache."""
+        from repro.core import citeseer_config
+
+        ProgressiveER(citeseer_cfg, Cluster(4)).run(citeseer_small)
+        cached = ProgressiveER(citeseer_medium_cfg, Cluster(4)).run(citeseer_medium)
+        uncached = ProgressiveER(citeseer_config(), Cluster(4)).run(citeseer_medium)
+        assert cached.found_pairs == uncached.found_pairs
 
 
 class TestParallelScaling:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.data import Entity
+from repro.similarity.batch import BatchMatcher
 from repro.similarity.matchers import (
     MIN_COST_FACTOR,
     AttributeRule,
@@ -195,7 +196,8 @@ class TestSimilarityMemoCache:
 
 
 class TestBoundedMatch:
-    """Cheap-comparator-first short-circuiting never changes the decision."""
+    """The batch decider's cheap-comparator-first short-circuiting never
+    changes the decision."""
 
     def test_agrees_with_full_similarity_on_random_pairs(self):
         import random
@@ -220,7 +222,7 @@ class TestBoundedMatch:
                 if peers:
                     entity = next(e for e in dataset.entities if e.id == eid)
                     pairs.append((entity, peers[0]))
-            decisions = [matcher.is_match(a, b) for a, b in pairs]
+            decisions = BatchMatcher(matcher).decisions(pairs)
             expected = [matcher.similarity(a, b) >= matcher.threshold for a, b in pairs]
             assert decisions == expected
             assert any(expected), "want at least one matching pair in the sample"

@@ -62,7 +62,7 @@ class TestScaling:
         assert fast.total_time <= slow.total_time
 
     def test_progressive_approach_beats_mrsn_early(
-        self, citeseer_medium, shared_citeseer_matcher
+        self, citeseer_medium, shared_citeseer_medium_matcher
     ):
         """The related-work claim (Section VII): fixed parallel SN has no
         prioritization; our approach finds duplicates at a higher early
@@ -70,11 +70,12 @@ class TestScaling:
         from repro.core import ProgressiveER, citeseer_config
 
         config = MrsnConfig(
-            scheme=citeseer_scheme(), matcher=shared_citeseer_matcher, window=15
+            scheme=citeseer_scheme(), matcher=shared_citeseer_medium_matcher,
+            window=15,
         )
         mrsn = MultiPassMRSN(config, Cluster(4)).run(citeseer_medium)
         ours = ProgressiveER(
-            citeseer_config(matcher=shared_citeseer_matcher), Cluster(4)
+            citeseer_config(matcher=shared_citeseer_medium_matcher), Cluster(4)
         ).run(citeseer_medium)
 
         mrsn_curve = recall_curve(

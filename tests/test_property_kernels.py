@@ -8,10 +8,10 @@ with the reference DP on arbitrary unicode inputs, including empty strings
 and bounds that land exactly on the true distance (the banded kernel's
 boundary case).
 
-Threshold propagation (:meth:`WeightedMatcher._bounded_match` deriving a
-per-rule similarity floor and bounding the kernel with it) is a pure
-optimization: on random matcher configurations and entity pairs, the
-propagated ``is_match`` must equal the unbounded weighted-sum decision.
+Threshold propagation (:class:`~repro.similarity.batch.BatchMatcher`
+deriving a per-rule similarity floor and bounding the kernel with it) is a
+pure optimization: on random matcher configurations and entity pairs, the
+propagated batch decision must equal the unbounded weighted-sum decision.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data import Entity
-from repro.similarity import AttributeRule, WeightedMatcher, levenshtein
+from repro.similarity import AttributeRule, BatchMatcher, WeightedMatcher, levenshtein
 from repro.similarity.edit_distance import _banded_dp, _full_dp, _myers_dp
 
 #: Unicode-heavy but collision-prone alphabet: small enough that random
@@ -136,6 +136,6 @@ class TestThresholdPropagation:
             # floors sit closest to the actual similarities.
             v2 = [value[:-1] if value else value for value in v1]
         e1, e2 = _entity(0, v1), _entity(1, v2)
-        bounded = matcher.is_match(e1, e2)
+        [bounded] = BatchMatcher(matcher).decisions([(e1, e2)])
         unbounded = matcher.similarity(e1, e2) >= matcher.threshold
         assert bounded == unbounded
