@@ -288,12 +288,10 @@ def _add_backend_options(parser: argparse.ArgumentParser) -> None:
         choices=BALANCE_STRATEGIES,
         default="slack",
         help="load-balancing post-pass over the progressive schedule: "
-        "`slack` (paper baseline), `blocksplit` (shard oversized root "
-        "blocks, LPT placement), `pairrange` (global PairRange: cut the "
-        "whole estimated pair stream into equal contiguous ranges, "
-        "splitting blocks where cuts land), `pairrange-tree` (deprecated "
-        "tree-granularity variant); resolved output is identical across "
-        "strategies",
+        "`slack` (paper baseline) or `pairrange` (global PairRange: cut "
+        "the whole estimated pair stream into equal contiguous ranges, "
+        "splitting blocks where cuts land); resolved output is identical "
+        "across strategies",
     )
     parser.add_argument(
         "--metablock",

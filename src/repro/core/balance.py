@@ -10,53 +10,37 @@ generated :class:`~repro.core.schedule.ProgressiveSchedule`:
 * **skew detection** — per-task planned virtual loads from the Job-1
   estimates, summarized by Gini coefficient and max-over-mean ratio and
   surfaced as ``balance.*`` counters;
-* **``blocksplit``** — oversized *root* blocks are decomposed into
-  contiguous pair-range shards of their mechanism pair stream, then all
-  work units (whole trees, split-tree remainders, shards) are LPT-placed.
-  Only roots are ever sharded: a root is resolved to stream exhaustion
-  (``full=True``), so its output is independent of where the stream is
-  cut, while a non-root's :class:`~repro.mechanisms.base.DistinctBudget`
-  stop condition depends on stream order and must never be sharded;
 * **``pairrange``** — Kolb's *global* PairRange enumeration: the estimated
   pair stream of every full root block is laid out on one cumulative cost
   axis (canonical uid order), the axis is cut into ``num_tasks`` equal
   contiguous ranges, and any block a cut lands inside is split there into
   :class:`BlockShard` slices — so per-task loads are near-uniform no
-  matter how skewed individual blocks are, with no oversize threshold;
-* **``pairrange-tree``** — deprecated alias for the pre-global version:
-  whole trees placed by contiguous cost ranges.  It cannot split a block,
-  so a single hot block still bounds the makespan; kept only so existing
-  configs keep running (prefer ``pairrange``);
+  matter how skewed individual blocks are, with no oversize threshold.
+  Only roots are ever sharded: a root is resolved to stream exhaustion
+  (``full=True``), so its output is independent of where the stream is
+  cut, while a non-root's :class:`~repro.mechanisms.base.DistinctBudget`
+  stop condition depends on stream order and must never be sharded;
 * **``slack``** — the paper baseline: the schedule is left untouched and
   only the skew report is computed.
 
 Everything is derived from the schedule's deterministic estimates — no
-wall-clock input, no randomness beyond :func:`~repro.mapreduce.job.stable_hash`
-tie-breaking — so a balanced schedule is bit-identical across execution
-backends and under fault injection.
+wall-clock input, no randomness — so a balanced schedule is bit-identical
+across execution backends and under fault injection.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
-from ..mapreduce.job import stable_hash
 from ..mechanisms.base import window_pairs_count
 from .schedule import ProgressiveSchedule, build_block_orders, recompute_sequence
 
 #: Recognised placement strategies (CLI ``--balance`` / ``RunSpec.balance``).
-#: ``pairrange-tree`` is a deprecated alias for the old tree-granularity
-#: placement; ``pairrange`` is the faithful global enumeration.
-BALANCE_STRATEGIES = ("slack", "blocksplit", "pairrange", "pairrange-tree")
+BALANCE_STRATEGIES = ("slack", "pairrange")
 
 #: Separator inside shard routing keys; never appears in block uids.
 SHARD_SEP = "\x1f"
-
-#: A tree is considered oversized when its root's estimated cost exceeds
-#: this multiple of the mean per-task load.
-OVERSIZE_FACTOR = 1.0
 
 _EPS = 1e-9
 
@@ -164,17 +148,6 @@ def shard_key(block_uid: str, index: int) -> str:
     return f"{block_uid}{SHARD_SEP}shard{index}"
 
 
-def shard_bounds(total_pairs: int, num_shards: int) -> List[int]:
-    """Equal-width position boundaries: ``num_shards + 1`` non-decreasing
-    values from 0 to ``total_pairs`` whose consecutive ranges partition
-    ``[0, total_pairs)`` exactly."""
-    if total_pairs < 0:
-        raise ValueError(f"total_pairs must be >= 0, got {total_pairs}")
-    if num_shards < 1:
-        raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-    return [total_pairs * i // num_shards for i in range(num_shards + 1)]
-
-
 def planned_loads(schedule: ProgressiveSchedule) -> List[float]:
     """Per-task planned virtual cost under the schedule's block orders.
 
@@ -197,31 +170,6 @@ def skew_report(schedule: ProgressiveSchedule) -> SkewReport:
     return SkewReport(loads=tuple(planned_loads(schedule)))
 
 
-def place_units(
-    units: Sequence[Tuple[str, float]], num_tasks: int
-) -> Dict[str, int]:
-    """LPT placement of ``(key, cost)`` work units over ``num_tasks``.
-
-    Deterministic and order-insensitive: units are processed by
-    non-increasing cost (key tie-break) onto the least-loaded task; load
-    ties rotate by ``stable_hash(key)`` so equal-cost streaks spread over
-    the tasks instead of piling onto task 0.
-    """
-    if num_tasks < 1:
-        raise ValueError(f"need at least one task, got {num_tasks}")
-    loads = [0.0] * num_tasks
-    assignment: Dict[str, int] = {}
-    for key, cost in sorted(units, key=lambda u: (-u[1], u[0])):
-        offset = stable_hash(key) % num_tasks
-        best = min(
-            range(num_tasks),
-            key=lambda t: (loads[t], (t - offset) % num_tasks),
-        )
-        assignment[key] = best
-        loads[best] += cost
-    return assignment
-
-
 def apply_balance(
     schedule: ProgressiveSchedule, *, strategy: str = "slack"
 ) -> BalancePlan:
@@ -241,12 +189,8 @@ def apply_balance(
     shards: Tuple[BlockShard, ...] = ()
     split_blocks: Tuple[str, ...] = ()
     moved = 0
-    if strategy == "blocksplit":
-        shards, split_blocks, moved = _apply_blocksplit(schedule)
-    elif strategy == "pairrange":
+    if strategy == "pairrange":
         shards, split_blocks, moved = _apply_pairrange(schedule)
-    elif strategy == "pairrange-tree":
-        moved = _apply_pairrange_tree(schedule)
     after = skew_report(schedule)
     return BalancePlan(
         strategy=strategy,
@@ -375,96 +319,6 @@ def _apply_pairrange(
     return tuple(all_shards), tuple(sorted(shards_of_tree)), moved
 
 
-# ---------------------------------------------------------------------------
-# pairrange-tree: contiguous global cost ranges at tree granularity
-# ---------------------------------------------------------------------------
-
-
-def _apply_pairrange_tree(schedule: ProgressiveSchedule) -> int:
-    """Reassign whole trees to tasks by contiguous cost ranges.
-
-    .. deprecated::
-        This is the pre-global ``pairrange``, kept as the
-        ``pairrange-tree`` alias.  Trees keep their internal structure, so
-        a single oversized block still bounds the makespan — prefer the
-        global ``pairrange`` (or ``blocksplit``) which can split blocks.
-
-    Trees are enumerated in canonical uid order; the cumulative cost axis
-    is cut into ``num_tasks`` equal ranges and each tree lands on the
-    range containing its midpoint.  Helps multi-tree skew (many mid-sized
-    trees stacked on one task) and stays compatible with block routing
-    because it never creates shards.
-    """
-    costs = _subtree_costs(schedule)
-    order = sorted(schedule.trees)
-    total = sum(costs.values())
-    if total <= 0:
-        return 0
-    moved = 0
-    num_tasks = schedule.num_tasks
-    cumulative = 0.0
-    new_assignment: Dict[str, int] = {}
-    for uid in order:
-        midpoint = cumulative + costs[uid] / 2.0
-        task = min(num_tasks - 1, int(midpoint * num_tasks / total))
-        new_assignment[uid] = task
-        if task != schedule.assignment[uid]:
-            moved += 1
-        cumulative += costs[uid]
-    schedule.assignment = new_assignment
-    schedule.block_order = build_block_orders(
-        schedule.trees, schedule.estimates, new_assignment, num_tasks
-    )
-    recompute_sequence(schedule)
-    return moved
-
-
-# ---------------------------------------------------------------------------
-# blocksplit: shard oversized root blocks, LPT-place all units
-# ---------------------------------------------------------------------------
-
-
-def _apply_blocksplit(
-    schedule: ProgressiveSchedule,
-) -> Tuple[Tuple[BlockShard, ...], Tuple[str, ...], int]:
-    """Shard oversized roots and re-place every work unit with LPT."""
-    num_tasks = schedule.num_tasks
-    tree_costs = _subtree_costs(schedule)
-    total = sum(tree_costs.values())
-    mean_load = total / num_tasks if num_tasks else 0.0
-
-    units: List[Tuple[str, float]] = []
-    all_shards: List[BlockShard] = []
-    shards_of_tree: Dict[str, List[BlockShard]] = {}
-    for uid in sorted(schedule.trees):
-        root = schedule.trees[uid]
-        shards = _shard_root(schedule, uid, mean_load)
-        if shards is None:
-            units.append((uid, tree_costs[uid]))
-            continue
-        shards_of_tree[uid] = shards
-        all_shards.extend(shards)
-        # The home unit keeps the tree's children plus shard 0 of the root
-        # (children memberships are derived from the tree's buffered
-        # entities, so they cannot leave the home task).
-        home_cost = (tree_costs[uid] - schedule.estimates[uid].cost) + shards[0].cost
-        units.append((uid, home_cost))
-        units.extend((shard.key, shard.cost) for shard in shards[1:])
-
-    placement = place_units(units, num_tasks)
-    home_tasks = {uid: placement[uid] for uid in schedule.trees}
-    shard_tasks = {
-        shard.key: placement[shard.key]
-        for shards in shards_of_tree.values()
-        for shard in shards[1:]
-    }
-    moved = _install_placement(
-        schedule, home_tasks, shards_of_tree, shard_tasks, all_shards
-    )
-    split = tuple(sorted(shards_of_tree))
-    return tuple(all_shards), split, moved
-
-
 def _install_placement(
     schedule: ProgressiveSchedule,
     home_tasks: Dict[str, int],
@@ -472,11 +326,10 @@ def _install_placement(
     shard_tasks: Dict[str, int],
     all_shards: List[BlockShard],
 ) -> int:
-    """Write a placement back into the schedule (shared by ``blocksplit``
-    and global ``pairrange``): assignment, shard table, per-task block
-    orders with shard 0 spliced into the tree's home order and remote
-    shards leading their task, and the recomputed resolution sequence.
-    Returns how many trees changed home task."""
+    """Write a placement back into the schedule: assignment, shard table,
+    per-task block orders with shard 0 spliced into the tree's home order
+    and remote shards leading their task, and the recomputed resolution
+    sequence.  Returns how many trees changed home task."""
     num_tasks = schedule.num_tasks
     moved = 0
     new_assignment: Dict[str, int] = {}
@@ -511,48 +364,6 @@ def _install_placement(
     schedule.block_order = orders
     recompute_sequence(schedule)
     return moved
-
-
-def _shard_root(
-    schedule: ProgressiveSchedule, tree_uid: str, mean_load: float
-) -> Optional[List[BlockShard]]:
-    """Shards for one tree's root block, or ``None`` when it is not worth
-    splitting (root under the oversize threshold, or a trivial stream)."""
-    root = schedule.trees[tree_uid]
-    estimate = schedule.estimates[tree_uid]
-    if mean_load <= 0 or estimate.cost <= mean_load * OVERSIZE_FACTOR + _EPS:
-        return None
-    total_pairs = window_pairs_count(root.size, estimate.window)
-    if total_pairs < 2:
-        return None
-    num_shards = min(
-        schedule.num_tasks,
-        math.ceil(estimate.cost / mean_load),
-        total_pairs,
-    )
-    if num_shards <= 1:
-        return None
-    bounds = shard_bounds(total_pairs, num_shards)
-    # Every shard replays the mechanism's setup (sort / hint) on its copy
-    # of the block, so CostA is charged per shard; the comparison cost
-    # splits proportionally to the pair range.
-    per_pair = max(0.0, estimate.cost - estimate.cost_a) / total_pairs
-    shards: List[BlockShard] = []
-    for index in range(num_shards):
-        start, stop = bounds[index], bounds[index + 1]
-        shards.append(
-            BlockShard(
-                key=shard_key(tree_uid, index),
-                block_uid=tree_uid,
-                tree_uid=tree_uid,
-                index=index,
-                num_shards=num_shards,
-                start=start,
-                stop=stop,
-                cost=estimate.cost_a + per_pair * (stop - start),
-            )
-        )
-    return shards
 
 
 # ---------------------------------------------------------------------------
@@ -594,8 +405,6 @@ __all__ = [
     "apply_balance",
     "planned_loads",
     "skew_report",
-    "place_units",
-    "shard_bounds",
     "shard_key",
     "format_balance_summary",
 ]

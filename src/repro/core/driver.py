@@ -500,8 +500,7 @@ class ProgressiveER:
             (Section VI-B2's comparison).
         seed: seed for training-sample selection and cost-factor sampling.
         balance: post-pass placement strategy — ``"slack"`` (the paper
-            baseline: schedule untouched), ``"blocksplit"``, the global
-            ``"pairrange"``, or the deprecated ``"pairrange-tree"`` alias
+            baseline: schedule untouched) or the global ``"pairrange"``
             (see :mod:`repro.core.balance`).
         metablock: meta-blocking pre-pass between blocking and
             scheduling — ``"off"``, ``"bf"`` (block filtering) or
@@ -526,7 +525,7 @@ class ProgressiveER:
         self.seed = seed
         self.balance = balance
         self.metablock = metablock
-        if balance in ("blocksplit", "pairrange") and config.routing == "block":
+        if balance == "pairrange" and config.routing == "block":
             raise ValueError(
                 f"balance={balance!r} requires tree routing; the naive "
                 "block-routing mapper cannot replicate shard groups"

@@ -69,9 +69,8 @@ class RunSpec:
         strategy: tree scheduler for the progressive approach — ``"ours"``,
             ``"nosplit"`` or ``"lpt"`` (ignored by Basic).
         balance: load-balancing post-pass for the progressive approach —
-            ``"slack"`` (paper baseline, schedule untouched),
-            ``"blocksplit"``, the global ``"pairrange"``, or the
-            deprecated ``"pairrange-tree"`` alias (ignored by Basic; see
+            ``"slack"`` (paper baseline, schedule untouched) or the global
+            ``"pairrange"`` (ignored by Basic; see
             :mod:`repro.core.balance`).
         seed: seed for training-sample and cost-factor sampling.
         label: run label for reports and traces (default: derived).
@@ -168,7 +167,7 @@ class RunSpec:
             )
         if (
             isinstance(self.config, ApproachConfig)
-            and self.balance in ("blocksplit", "pairrange")
+            and self.balance == "pairrange"
             and self.config.routing == "block"
         ):
             problems.append(

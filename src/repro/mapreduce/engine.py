@@ -15,15 +15,16 @@ disabled.  :class:`Cluster` reproduces exactly that static-slot model:
 All time is virtual (see :mod:`repro.mapreduce.clock`).  The *computation*
 of each task is delegated to an execution backend
 (:mod:`repro.mapreduce.executors`): tasks return per-task cost/event
-payloads and the cluster replays them through its :class:`SlotPool` in
-task-id order, so virtual-time results are identical whether the tasks ran
-serially or on a pool of worker processes.
+payloads and the cluster places them on slots with a
+:class:`~repro.mapreduce.faults.FaultScheduler` in task-id order, so
+virtual-time results are identical whether the tasks ran serially or on a
+pool of worker processes.  A cluster without a fault plan schedules
+through an inert :class:`~repro.mapreduce.faults.FaultPlan`, which never
+crashes or slows an attempt.
 """
 
 from __future__ import annotations
 
-import heapq
-import math
 import time
 from typing import TYPE_CHECKING, Any, List, Optional, Sequence
 
@@ -45,52 +46,6 @@ from .types import Event, JobResult, KeyValue, OutputFile, TaskResult
 if TYPE_CHECKING:  # observability depends on mapreduce, never the reverse
     from ..observability.metrics import MetricsRegistry
     from ..observability.tracing import Tracer
-
-
-class SlotPool:
-    """A set of identical execution slots with earliest-availability scheduling.
-
-    Backed by a min-heap of ``(free_at, slot_index)`` pairs, so placing a
-    task is O(log slots) instead of the O(slots) linear scan a naive
-    implementation needs.  Ties on ``free_at`` break by slot index, which
-    is exactly the ordering the scan-based version used.
-    """
-
-    def __init__(self, num_slots: int, ready_time: float) -> None:
-        if num_slots <= 0:
-            raise ValueError(f"need at least one slot, got {num_slots}")
-        # Already heap-ordered: equal times, ascending slot index.
-        self._heap: List[tuple[float, int]] = [
-            (ready_time, slot) for slot in range(num_slots)
-        ]
-        self._makespan = ready_time
-
-    def schedule(self, cost: float) -> tuple[float, float, int]:
-        """Place a task of ``cost`` units on the earliest-free slot.
-
-        Returns ``(start_time, end_time, slot_index)`` in global virtual
-        time.  The slot index is what the tracer uses as the span's track,
-        so a trace viewer lays tasks out exactly as the simulated slots
-        executed them.
-
-        ``cost`` must be finite and non-negative.  Zero is legitimate — an
-        empty input split produces a zero-cost map task, exactly like
-        Hadoop running an empty split — and yields a zero-length attempt
-        that still occupies a slot placement.
-        """
-        if not math.isfinite(cost) or cost < 0:
-            raise ValueError(f"task cost must be finite and >= 0, got {cost}")
-        start, slot = heapq.heappop(self._heap)
-        end = start + cost
-        heapq.heappush(self._heap, (end, slot))
-        if end > self._makespan:
-            self._makespan = end
-        return start, end, slot
-
-    @property
-    def makespan(self) -> float:
-        """Global time at which every slot is free again."""
-        return self._makespan
 
 
 class Cluster:
@@ -118,9 +73,9 @@ class Cluster:
             they are identical on every execution backend.
         slot_broker: optional multi-tenant capacity broker (see
             :mod:`repro.scheduling`).  When set, each phase checks its
-            slots out of a shared pool instead of building a private
-            :class:`SlotPool` — the broker decides *when* the phase may
-            start and *which* lane free-times it inherits, while task
+            slots out of a shared pool instead of owning every slot from
+            phase start — the broker decides *when* the phase may start
+            and *which* lane free-times it inherits, while task
             computation and placement order are untouched.  ``None``
             (the default) keeps the classic one-job-owns-the-cluster
             timeline bit-identical to previous behaviour.
@@ -171,8 +126,6 @@ class Cluster:
         start_time: float = 0.0,
         num_map_tasks: Optional[int] = None,
         num_reduce_tasks: Optional[int] = None,
-        map_failures: Optional[dict] = None,
-        reduce_failures: Optional[dict] = None,
         executor: Optional[Executor] = None,
         faults: Optional[FaultPlan] = None,
     ) -> JobResult:
@@ -183,25 +136,13 @@ class Cluster:
         starts when Job 1 ends).  ``executor`` overrides the cluster's
         backend for this job only.
 
-        ``map_failures`` / ``reduce_failures`` inject legacy Hadoop-style
-        task failures: ``{task_id: attempts_that_fail}``.  A failed attempt
-        occupies its slot for the task's full cost, then the framework
-        re-executes the task from scratch — results are identical, only
-        the timeline stretches (Hadoop's deterministic-retry fault model).
-
         ``faults`` overrides the cluster's :class:`FaultPlan` for this job
         only: seeded partial-cost crashes, straggler slowdowns, retry
         backoff and speculative execution (see
-        :mod:`repro.mapreduce.faults`).  The two fault models are mutually
-        exclusive — a seeded plan cannot be combined with the explicit
-        failure dicts.
+        :mod:`repro.mapreduce.faults`).  Without either plan every phase
+        is placed under an inert ``FaultPlan()``.
         """
-        plan = faults if faults is not None else self.faults
-        if plan is not None and (map_failures or reduce_failures):
-            raise ValueError(
-                "a FaultPlan cannot be combined with the legacy "
-                "map_failures/reduce_failures dicts; pick one fault model"
-            )
+        plan = faults or self.faults or FaultPlan()
         n_map = num_map_tasks if num_map_tasks is not None else self.num_map_tasks
         n_red = num_reduce_tasks if num_reduce_tasks is not None else self.num_reduce_tasks
         job.config.setdefault("num_reduce_tasks", n_red)
@@ -227,8 +168,7 @@ class Cluster:
         try:
             wall_start = time.perf_counter()
             map_results, partitions = self._run_map_phase(
-                job, splits, n_red, start_time, counters, aux,
-                map_failures or {}, backend, plan,
+                job, splits, n_red, start_time, counters, aux, backend, plan,
             )
             map_wall = time.perf_counter() - wall_start
             map_phase_end = max((t.end_time for t in map_results), default=start_time)
@@ -241,7 +181,7 @@ class Cluster:
             wall_start = time.perf_counter()
             reduce_results, files = self._run_reduce_phase(
                 job, partitions, n_red, map_phase_end, counters, aux,
-                reduce_failures or {}, backend, plan,
+                backend, plan,
             )
             reduce_wall = time.perf_counter() - wall_start
             end_time = max((t.end_time for t in reduce_results), default=map_phase_end)
@@ -341,9 +281,8 @@ class Cluster:
         start_time: float,
         counters: Counters,
         aux: Counters,
-        failures: dict,
         backend: Executor,
-        faults: Optional[FaultPlan],
+        faults: FaultPlan,
     ) -> tuple[List[TaskResult], List[List[KeyValue]]]:
         """Run all map tasks; return task results and per-reducer partitions.
 
@@ -352,12 +291,9 @@ class Cluster:
         in task-id order, so the timeline never depends on the backend.
         """
         payloads = backend.run_map_phase(job, splits, self.cost_model)
-        pool = self._phase_pool(
-            job, "map", self.machines * self.map_slots, start_time
-        )
         schedules = self._fault_schedules(
             faults, job, "map", self.machines * self.map_slots, start_time,
-            payloads, counters, pool,
+            payloads, counters,
         )
         partitions: List[List[KeyValue]] = [[] for _ in range(n_red)]
         results: List[TaskResult] = []
@@ -372,49 +308,28 @@ class Cluster:
             counters.increment("engine", "map_records", payload.num_records)
             counters.increment("engine", "map_emitted", len(payload.emitted))
 
-            if schedules is None:
-                retries = failures.get(task_id, 0)
-                start, end, attempt_start, slot = self._schedule_attempts(
-                    pool, payload.cost, retries
-                )
-                counters.increment("engine", "map_retries", retries)
-                self._trace_task(
-                    job, "map", payload, start, end, attempt_start, slot, retries
-                )
-                stretch = 1.0
-                failed_attempts = retries
-                speculative = False
-            else:
-                sched = schedules[task_id]
-                win = sched.winning
-                start, end, attempt_start = sched.attempts[0].start, win.end, win.start
-                stretch = faults.slot_slowdown(win.slot)
-                retries = sum(
-                    1
-                    for a in sched.attempts
-                    if a.outcome == "failed" and not a.speculative
-                )
-                counters.increment("engine", "map_retries", retries)
-                self._trace_task_faulty(job, "map", payload, sched, stretch)
-                failed_attempts = sched.num_failed
-                speculative = win.speculative
+            sched = schedules[task_id]
+            win = sched.winning
+            stretch = faults.slot_slowdown(win.slot)
+            counters.increment("engine", "map_retries", _retries(sched))
+            self._trace_task(job, "map", payload, sched, stretch)
             results.append(
                 TaskResult(
                     task_id=task_id,
                     cost=payload.cost,
-                    start_time=start,
-                    end_time=end,
+                    start_time=sched.attempts[0].start,
+                    end_time=win.end,
                     events=[
                         Event(
-                            time=attempt_start + e.time * stretch,
+                            time=win.start + e.time * stretch,
                             kind=e.kind,
                             payload=e.payload,
                         )
                         for e in payload.events
                     ],
                     output=payload.emitted,
-                    num_failed_attempts=failed_attempts,
-                    speculative=speculative,
+                    num_failed_attempts=sched.num_failed,
+                    speculative=win.speculative,
                     wall_ns=payload.wall_ns,
                     charge_profile=payload.charge_profile,
                 )
@@ -429,66 +344,50 @@ class Cluster:
                 partitions[idx].append((key, value))
         return results, partitions
 
-    def _phase_pool(
-        self, job: MapReduceJob, phase: str, num_slots: int, ready_time: float
-    ) -> Any:
-        """The slot pool one phase places its tasks into.
-
-        Without a broker this is the classic private :class:`SlotPool`
-        (every slot free at phase start).  With a broker, the call
-        *blocks* until the multi-tenant scheduler dispatches this phase,
-        and the returned lease carries the shared lanes' current free
-        times — the phase queues behind other tenants' commitments
-        instead of pretending it owns an idle cluster.
-        """
-        if self.slot_broker is None:
-            return SlotPool(num_slots, ready_time)
-        return self.slot_broker.lease_phase(
-            kind=phase, job=job.name, ready_time=ready_time
-        )
-
     def _fault_schedules(
         self,
-        faults: Optional[FaultPlan],
+        faults: FaultPlan,
         job: MapReduceJob,
         phase: str,
         num_slots: int,
         phase_start: float,
         payloads: Sequence[Any],
         counters: Counters,
-        pool: Any = None,
-    ) -> Optional[List[TaskSchedule]]:
-        """Simulate the phase under a fault plan; ``None`` without one.
+    ) -> List[TaskSchedule]:
+        """Place one phase's tasks on slots under ``faults``.
 
         Runs entirely in the driver on the payloads' virtual costs, so the
         resulting timeline is identical on every execution backend.  Fault
         statistics land in the ``fault.*`` counter namespace (only non-zero
         values are recorded, so an inert plan leaves counters untouched).
 
-        When ``pool`` is a multi-tenant lease, the simulator is seeded
+        With a slot broker, the call *blocks* until the multi-tenant
+        scheduler dispatches this phase.  The simulator is then seeded
         with the shared lanes' current free times (and the grant-time
-        floor) and its final per-slot free times are committed back, so a
-        per-job fault plan stretches only this job's phase on the shared
+        floor) and its final per-slot free times are committed back, so
+        the phase queues behind other tenants' commitments and a per-job
+        fault plan stretches only this job's phase on the shared
         timeline.  Crash decisions key on task ids and attempt ordinals —
         never on absolute times — so the *number* of injected faults is
         identical to a solo run of the same plan.
         """
-        if faults is None:
-            return None
-        lanes = getattr(pool, "lane_free_times", None)
-        if lanes is None:
+        if self.slot_broker is None:
+            lease = None
             scheduler = FaultScheduler(
                 faults, num_slots, phase_start, job=job.name, phase=phase
             )
         else:
-            floor = max(phase_start, pool.floor)
+            lease = self.slot_broker.lease_phase(
+                kind=phase, job=job.name, ready_time=phase_start
+            )
+            lanes = lease.lane_free_times
             scheduler = FaultScheduler(
-                faults, len(lanes), floor, job=job.name, phase=phase,
-                slot_free_times=lanes,
+                faults, len(lanes), max(phase_start, lease.floor),
+                job=job.name, phase=phase, slot_free_times=lanes,
             )
         schedules = scheduler.run([p.cost for p in payloads])
-        if lanes is not None:
-            pool.commit_fault(scheduler.final_free_times, schedules)
+        if lease is not None:
+            lease.commit_fault(scheduler.final_free_times, schedules)
         stats = scheduler.stats
         for name, value in (
             ("failed_attempts", stats.failed_attempts),
@@ -503,71 +402,7 @@ class Cluster:
                 counters.increment("fault", f"{phase}_{name}", value)
         return schedules
 
-    @staticmethod
-    def _schedule_attempts(
-        pool: SlotPool, cost: float, failed_attempts: int
-    ) -> tuple[float, float, float, int]:
-        """Place a task with ``failed_attempts`` full-cost failed attempts
-        before the successful one; returns
-        (start, end, successful start, slot index)."""
-        total = cost * (failed_attempts + 1)
-        start, end, slot = pool.schedule(total)
-        return start, end, start + cost * failed_attempts, slot
-
     def _trace_task(
-        self,
-        job: MapReduceJob,
-        phase: str,
-        payload: Any,
-        start: float,
-        end: float,
-        attempt_start: float,
-        slot: int,
-        retries: int,
-    ) -> None:
-        """Record one scheduled task: failed attempts, the successful
-        attempt, and the task-local span fragments rebased to global time."""
-        trace = self.tracer
-        if trace is None:
-            return
-        track = slot + 1  # track 0 belongs to job/phase spans
-        task_id = payload.task_id
-        for attempt in range(retries):
-            trace.record_span(
-                f"{phase}-{task_id}/attempt-{attempt}",
-                "attempt",
-                start + attempt * payload.cost,
-                start + (attempt + 1) * payload.cost,
-                job=job.name,
-                track=track,
-                task=task_id,
-                phase=phase,
-                failed=True,
-            )
-        trace.record_span(
-            f"{phase}-{task_id}",
-            "task",
-            attempt_start,
-            end,
-            job=job.name,
-            track=track,
-            task=task_id,
-            phase=phase,
-            cost=payload.cost,
-            records=payload.num_records,
-        )
-        for fragment in payload.spans:
-            trace.record_span(
-                fragment.name,
-                fragment.category,
-                attempt_start + fragment.start,
-                attempt_start + fragment.end,
-                job=job.name,
-                track=track,
-                **dict(fragment.args),
-            )
-
-    def _trace_task_faulty(
         self,
         job: MapReduceJob,
         phase: str,
@@ -575,12 +410,10 @@ class Cluster:
         sched: TaskSchedule,
         stretch: float,
     ) -> None:
-        """Record a fault-scheduled task: every failed/killed attempt, the
+        """Record one scheduled task: every failed/killed attempt, the
         winning attempt as the task span, and the task-local span fragments
         rebased — and stretched by the winning slot's slowdown — to global
-        time.  Retry/speculation markers are added only when present, so an
-        attempt-0 non-speculative win emits spans byte-identical to
-        :meth:`_trace_task` with zero retries."""
+        time.  Retry/speculation markers are added only when present."""
         trace = self.tracer
         if trace is None:
             return
@@ -640,18 +473,14 @@ class Cluster:
         phase_start: float,
         counters: Counters,
         aux: Counters,
-        failures: dict,
         backend: Executor,
-        faults: Optional[FaultPlan],
+        faults: FaultPlan,
     ) -> tuple[List[TaskResult], List[OutputFile]]:
         """Run all reduce tasks; return task results and output files."""
         payloads = backend.run_reduce_phase(job, partitions, self.cost_model)
-        pool = self._phase_pool(
-            job, "reduce", self.machines * self.reduce_slots, phase_start
-        )
         schedules = self._fault_schedules(
             faults, job, "reduce", self.machines * self.reduce_slots,
-            phase_start, payloads, counters, pool,
+            phase_start, payloads, counters,
         )
         results: List[TaskResult] = []
         all_files: List[OutputFile] = []
@@ -663,47 +492,24 @@ class Cluster:
             counters.increment("engine", "reduce_groups", payload.num_groups)
             counters.increment("engine", "reduce_records", payload.num_records)
 
-            if schedules is None:
-                retries = failures.get(task_id, 0)
-                start, end, attempt_start, slot = self._schedule_attempts(
-                    pool, payload.cost, retries
-                )
-                counters.increment("engine", "reduce_retries", retries)
-                self._trace_task(
-                    job, "reduce", payload, start, end, attempt_start, slot, retries
-                )
-                stretch = 1.0
-                failed_attempts = retries
-                speculative = False
-            else:
-                sched = schedules[task_id]
-                win = sched.winning
-                start, end, attempt_start, slot = (
-                    sched.attempts[0].start, win.end, win.start, win.slot
-                )
-                stretch = faults.slot_slowdown(win.slot)
-                retries = sum(
-                    1
-                    for a in sched.attempts
-                    if a.outcome == "failed" and not a.speculative
-                )
-                counters.increment("engine", "reduce_retries", retries)
-                self._trace_task_faulty(job, "reduce", payload, sched, stretch)
-                failed_attempts = sched.num_failed
-                speculative = win.speculative
+            sched = schedules[task_id]
+            win = sched.winning
+            stretch = faults.slot_slowdown(win.slot)
+            counters.increment("engine", "reduce_retries", _retries(sched))
+            self._trace_task(job, "reduce", payload, sched, stretch)
             for f in payload.files:
                 # Rebase the task-local close time to global time, scaled
                 # by the winning attempt's slowdown (stretch is exactly 1.0
                 # on a healthy slot, so this is bit-identical to the plain
-                # ``close_time += attempt_start`` rebase).
-                f.close_time = attempt_start + f.close_time * stretch
+                # ``close_time += win.start`` rebase).
+                f.close_time = win.start + f.close_time * stretch
                 if self.tracer is not None:
                     self.tracer.record_instant(
                         f"flush-{task_id}.{f.index}",
                         "flush",
                         f.close_time,
                         job=job.name,
-                        track=slot + 1,
+                        track=win.slot + 1,
                         task=task_id,
                         records=len(f.records),
                     )
@@ -712,24 +518,31 @@ class Cluster:
                 TaskResult(
                     task_id=task_id,
                     cost=payload.cost,
-                    start_time=start,
-                    end_time=end,
+                    start_time=sched.attempts[0].start,
+                    end_time=win.end,
                     events=[
                         Event(
-                            time=attempt_start + e.time * stretch,
+                            time=win.start + e.time * stretch,
                             kind=e.kind,
                             payload=e.payload,
                         )
                         for e in payload.events
                     ],
                     output=payload.written,
-                    num_failed_attempts=failed_attempts,
-                    speculative=speculative,
+                    num_failed_attempts=sched.num_failed,
+                    speculative=win.speculative,
                     wall_ns=payload.wall_ns,
                     charge_profile=payload.charge_profile,
                 )
             )
         return results, all_files
+
+
+def _retries(sched: TaskSchedule) -> int:
+    """Re-executions after a crash (a failed backup is not retried)."""
+    return sum(
+        1 for a in sched.attempts if a.outcome == "failed" and not a.speculative
+    )
 
 
 def _record_cost_skew(aux: Counters, phase: str, costs: Sequence[float]) -> None:
@@ -752,4 +565,4 @@ def _record_cost_skew(aux: Counters, phase: str, costs: Sequence[float]) -> None
     )
 
 
-__all__ = ["Cluster", "SlotPool"]
+__all__ = ["Cluster"]

@@ -12,8 +12,8 @@ concerns:
   events, outputs and counters;
 * the **accounting** (slot scheduling, event rebasing, counter aggregation,
   partitioning) stays in :class:`repro.mapreduce.engine.Cluster`, which
-  replays the payloads through its :class:`~repro.mapreduce.engine.SlotPool`
-  in task-id order.
+  places the payloads on slots with a
+  :class:`~repro.mapreduce.faults.FaultScheduler` in task-id order.
 
 An :class:`Executor` only decides *where* the per-task computations run:
 

@@ -4,8 +4,7 @@ The paper's progressive schedule is only valuable if the cluster keeps
 maximizing the early-duplicate rate *while tasks fail and straggle* — skew
 and node slowdown are the dominant real-world hazards for MapReduce-based
 ER (Kolb et al., "Load Balancing for MapReduce-based Entity Resolution").
-This module replaces the engine's historical ``{task_id: n}`` failure dict
-with a full fault model:
+This module is the engine's one task scheduler and its fault model:
 
 * :class:`FaultPlan` — a **seeded, deterministic** description of what goes
   wrong: per-attempt crash decisions (an attempt crashes at a fraction of
@@ -40,15 +39,16 @@ non-decreasing in the fault rate" a testable property.
 The scheduler is a small discrete-event simulation over virtual time.
 Because the simulator is omniscient (an attempt's duration is known the
 moment it is placed), "events" reduce to attempt completions; slots commit
-to attempts eagerly, exactly like the engine's wave scheduling.  With an
-all-zero plan the simulation degenerates to
-:class:`~repro.mapreduce.engine.SlotPool`'s earliest-free-slot placement
-in task-id order, byte-identical to a run without any fault plan attached.
+to attempts eagerly, in waves.  Every phase the engine runs is placed by
+:class:`FaultScheduler`; a cluster without a plan uses the default
+``FaultPlan()``, under which the simulation degenerates to plain
+earliest-free-slot placement in task-id order (ties by slot index).
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
@@ -100,7 +100,7 @@ class RetryPolicy:
             attempts count too, like Hadoop's ``mapred.map.max.attempts``).
             Exhaustion raises :class:`JobAbortedError`.
         backoff_base: virtual-time delay before the first retry; ``0``
-            retries immediately (the legacy behaviour).
+            retries immediately (the default).
         backoff_factor: multiplier applied per additional failure
             (exponential backoff: ``base * factor ** (failures - 1)``).
     """
@@ -165,8 +165,7 @@ class FaultPlan:
         speculation: the framework's :class:`SpeculationConfig`.
 
     A default-constructed plan is inert: no crashes, no stragglers, no
-    speculation — scheduling through it is byte-identical to scheduling
-    without it.
+    speculation — every task runs once, on the earliest-free slot.
     """
 
     seed: int = 0
@@ -234,17 +233,6 @@ class FaultPlan:
         if self._unit("straggler", slot) < self.straggler_rate:
             return self.straggler_factor
         return 1.0
-
-    @property
-    def is_inert(self) -> bool:
-        """True when scheduling through this plan cannot differ from a
-        fault-free run (no crashes, no slowdowns, no speculation)."""
-        return (
-            self.fault_rate == 0.0
-            and not self.slot_slowdowns
-            and (self.straggler_rate == 0.0 or self.straggler_factor == 1.0)
-            and not self.speculation.enabled
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +333,7 @@ class FaultScheduler:
     A deterministic discrete-event simulation: tasks become *ready* (at
     phase start, or after a failure plus backoff), ready tasks are placed
     on the earliest-free non-blacklisted slot (ties break by task id, then
-    slot index — exactly :class:`~repro.mapreduce.engine.SlotPool`'s
-    ordering), and attempt completions drive retries, blacklisting and
+    slot index), and attempt completions drive retries, blacklisting and
     speculation.  All decisions replay from the plan; nothing is random at
     simulation time.
     """
@@ -395,9 +382,18 @@ class FaultScheduler:
     def run(self, costs: Sequence[float]) -> List[TaskSchedule]:
         """Simulate the phase; returns one :class:`TaskSchedule` per task.
 
+        Every cost must be finite and non-negative; a bad one raises
+        :class:`ValueError` before anything is simulated.  Zero is
+        legitimate — an empty input split produces a zero-cost map task,
+        exactly like Hadoop running an empty split — and yields a
+        zero-length attempt that still occupies a slot placement.
+
         Raises :class:`JobAbortedError` when any task exhausts the retry
         policy's attempt budget.
         """
+        for cost in costs:
+            if not math.isfinite(cost) or cost < 0:
+                raise ValueError(f"task cost must be finite and >= 0, got {cost}")
         n = len(costs)
         self._costs = list(costs)
         self._ready: List[Tuple[float, int]] = [
@@ -463,14 +459,15 @@ class FaultScheduler:
         """Place one attempt of ``task_id`` on ``slot``."""
         start = max(ready_time, slot.free_at)
         effective = self._costs[task_id] * slot.slowdown
-        if speculative:
-            fails = self._plan.attempt_fails(self._job, self._phase, task_id, -1)
-            fraction = self._plan.crash_fraction(self._job, self._phase, task_id, -1)
-        else:
-            ordinal = self._failed[task_id]
-            fails = self._plan.attempt_fails(self._job, self._phase, task_id, ordinal)
-            fraction = self._plan.crash_fraction(self._job, self._phase, task_id, ordinal)
-        duration = effective * fraction if fails else effective
+        ordinal = -1 if speculative else self._failed[task_id]
+        fails = self._plan.attempt_fails(self._job, self._phase, task_id, ordinal)
+        duration = effective
+        if fails:
+            # Drawn only for a crash: most attempts succeed, and the hash
+            # draw is the bulk of an inert plan's per-attempt cost.
+            duration *= self._plan.crash_fraction(
+                self._job, self._phase, task_id, ordinal
+            )
         attempt = _Attempt(
             task_id,
             self._attempt_ids[task_id],

@@ -112,15 +112,13 @@ def plan_delta(
     """Place affected blocks onto reduce tasks under a balance strategy.
 
     ``slack`` mirrors the paper baseline: hash placement, whole blocks.
-    Every other strategy (``blocksplit``, ``pairrange``,
-    ``pairrange-tree``) reuses the batch balancer's ideas at the delta
+    ``pairrange`` reuses the batch balancer's idea at the delta
     granularity: blocks whose planned load exceeds the per-task fair share
     are sharded into contiguous anchor ranges, then all units are placed
     longest-processing-time-first onto the least-loaded task.  (The delta
-    workload has no per-block pair-stream estimates, so the batch
-    strategies' distinctions — global cuts versus oversize thresholds —
-    collapse to this single sharding scheme here.)  Placement never
-    changes which pairs are compared — only where.
+    workload has no per-block pair-stream estimates, so the global cuts of
+    the batch strategy reduce to this sharding scheme here.)  Placement
+    never changes which pairs are compared — only where.
     """
     plan = DeltaPlan()
     loads: Dict[str, int] = {}

@@ -117,10 +117,8 @@ class ResolverService:
             forest to keep warm and are rejected).
         machines: simulated cluster size for the delta jobs.
         balance: placement strategy for affected blocks — ``"slack"``
-            (hash placement), or any sharding strategy (``"blocksplit"``,
-            ``"pairrange"``, ``"pairrange-tree"``: shard oversized
-            blocks, LPT placement — at delta granularity they share one
-            scheme).  Output-invariant.
+            (hash placement) or ``"pairrange"`` (shard oversized blocks,
+            LPT placement).  Output-invariant.
         min_family_matches: key families that must agree before a pair is
             compared (clamped to the scheme's family count).
         backend / workers / executor / cost_model / tracer / metrics /

@@ -15,11 +15,9 @@ skewed workload (one hub block holding most of the dataset) and asserts:
   the whole point — but the curve must end at the same recall, and each
   strategy's own curve must be reproducible bit-for-bit).
 
-The grid also pins the non-vacuousness of the tentpole: ``blocksplit``
-must actually shard the hub block and beat ``slack``'s reduce-phase
-makespan on this workload, and the global ``pairrange`` must shard the
-hub too and beat its deprecated tree-granularity alias
-``pairrange-tree`` (which cannot split a block).
+The grid also pins the non-vacuousness of the balancer: the global
+``pairrange`` must actually shard the hub block and beat ``slack``'s
+reduce-phase makespan on this workload by at least 1.3x.
 """
 
 from __future__ import annotations
@@ -131,32 +129,12 @@ class TestDifferentialOracle:
                 ] == [(e.time, e.payload) for e in process.duplicate_events]
 
 
-class TestBlocksplitEffectiveness:
-    def test_blocksplit_shards_the_hub(self, grid):
-        plan = grid[("blocksplit", "serial", "clean")].result.balance
-        assert plan.shards, "skewed workload did not trigger any split"
-        assert plan.split_blocks
-        covered = {shard.block_uid for shard in plan.shards}
-        assert covered == set(plan.split_blocks)
+def reduce_span(run):
+    job2 = run.result.job2
+    return job2.end_time - job2.map_phase_end
 
-    def test_blocksplit_beats_slack_makespan(self, grid):
-        slack = grid[("slack", "serial", "clean")]
-        blocksplit = grid[("blocksplit", "serial", "clean")]
 
-        def reduce_span(run):
-            job2 = run.result.job2
-            return job2.end_time - job2.map_phase_end
-
-        assert reduce_span(blocksplit) < reduce_span(slack)
-        plan = blocksplit.result.balance
-        assert plan.after.max < plan.before.max
-        assert plan.after.max_over_mean < plan.before.max_over_mean
-
-    def test_shards_are_actually_resolved(self, grid):
-        counters = grid[("blocksplit", "serial", "clean")].result.job2.counters
-        flat = counters.as_flat_dict()
-        assert flat.get("driver.shards_resolved", 0) > 0
-
+class TestBalancePlans:
     def test_balance_counters_surface_in_job_counters(self, grid):
         for balance in BALANCE_STRATEGIES:
             flat = grid[(balance, "serial", "clean")].result.job2.counters.as_flat_dict()
@@ -183,27 +161,23 @@ class TestGlobalPairrangeEffectiveness:
         covered = {shard.block_uid for shard in plan.shards}
         assert covered == set(plan.split_blocks)
 
-    def test_pairrange_beats_tree_granularity(self, grid):
-        """The global enumeration must beat the deprecated whole-tree
-        variant decisively on the hub workload: pairrange-tree cannot
-        split the hub, so its reduce makespan stays hub-bound."""
-        def reduce_span(run):
-            job2 = run.result.job2
-            return job2.end_time - job2.map_phase_end
+    def test_shards_are_actually_resolved(self, grid):
+        counters = grid[("pairrange", "serial", "clean")].result.job2.counters
+        flat = counters.as_flat_dict()
+        assert flat.get("driver.shards_resolved", 0) > 0
 
-        tree = reduce_span(grid[("pairrange-tree", "serial", "clean")])
+    def test_pairrange_beats_slack_makespan(self, grid):
+        """Splitting the hub must beat the paper's slack placement
+        decisively: slack keeps the hub on one task, so its reduce
+        makespan stays hub-bound."""
+        slack = reduce_span(grid[("slack", "serial", "clean")])
         global_ = reduce_span(grid[("pairrange", "serial", "clean")])
-        assert global_ * 1.3 <= tree
+        assert global_ * 1.3 <= slack
 
     def test_pairrange_improves_planned_skew(self, grid):
         plan = grid[("pairrange", "serial", "clean")].result.balance
         assert plan.after.max < plan.before.max
         assert plan.after.max_over_mean < plan.before.max_over_mean
-
-    def test_pairrange_tree_never_creates_shards(self, grid):
-        run = grid[("pairrange-tree", "serial", "clean")]
-        assert not run.result.schedule.shards
-        assert not run.result.balance.shards
 
     def test_pairrange_rejects_block_routing(self, skewed_cfg):
         config = skewed_config(matcher=skewed_cfg.matcher, routing="block")
@@ -212,8 +186,8 @@ class TestGlobalPairrangeEffectiveness:
 
 
 class TestScheduleIntegrity:
-    def test_blocksplit_schedule_round_trips_through_json(self, grid):
-        schedule = grid[("blocksplit", "serial", "clean")].result.schedule
+    def test_pairrange_schedule_round_trips_through_json(self, grid):
+        schedule = grid[("pairrange", "serial", "clean")].result.schedule
         clone = schedule_from_dict(schedule_to_dict(schedule))
         assert clone.assignment == schedule.assignment
         assert clone.block_order == schedule.block_order
@@ -221,16 +195,11 @@ class TestScheduleIntegrity:
         assert clone.sequence_stride == schedule.sequence_stride
 
     def test_shard_keys_never_collide_with_block_uids(self, grid):
-        schedule = grid[("blocksplit", "serial", "clean")].result.schedule
+        schedule = grid[("pairrange", "serial", "clean")].result.schedule
         for key, shard in schedule.shards.items():
             assert SHARD_SEP in key
             assert key not in schedule.tree_of_block
             assert shard.block_uid in schedule.tree_of_block
-
-    def test_blocksplit_rejects_block_routing(self, skewed_cfg, skewed_dataset):
-        config = skewed_config(matcher=skewed_cfg.matcher, routing="block")
-        with pytest.raises(ValueError, match="blocksplit"):
-            ProgressiveER(config, Cluster(MACHINES), balance="blocksplit")
 
     def test_unknown_strategy_rejected(self, skewed_cfg, skewed_dataset):
         er = ProgressiveER(skewed_cfg, Cluster(MACHINES), balance="bogus")

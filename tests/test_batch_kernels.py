@@ -15,7 +15,7 @@ kept here as the oracle; the guard tests prove no resolve path
 reducer) falls back to per-pair ``is_match`` / ``comparison_cost_factor``
 calls; and the end-to-end differential pins found-pair sets and
 progressive curves across {reference, batch} × {serial, process} ×
-{slack, blocksplit}, plus shared-memory vs inline-pickle transport, on the
+{slack, pairrange}, plus shared-memory vs inline-pickle transport, on the
 golden books fixture.
 """
 
@@ -344,7 +344,7 @@ def _fingerprint(run):
 
 
 class TestEndToEndDifferential:
-    @pytest.mark.parametrize("balance", ["slack", "blocksplit"])
+    @pytest.mark.parametrize("balance", ["slack", "pairrange"])
     def test_scalar_batch_serial_process_identical(
         self, books_small, balance, monkeypatch
     ):

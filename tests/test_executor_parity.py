@@ -27,6 +27,8 @@ from repro.mapreduce import (
     make_executor,
 )
 
+from scheduling_reference import plan_with_failures
+
 #: Worker count for the process backend in these tests.  Two is enough to
 #: exercise real fan-out (pickled payloads, out-of-order completion) while
 #: staying cheap on small CI machines.
@@ -159,11 +161,17 @@ class TestEngineParity:
         assert job_fingerprint(serial) == job_fingerprint(process)
 
     def test_failure_injection_parity(self):
-        kwargs = dict(map_failures={1: 2}, reduce_failures={0: 1})
-        serial = Cluster(2).run_job(_wordcount_job(), _LINES, **kwargs)
+        job = _wordcount_job()
+        kwargs = dict(
+            faults=plan_with_failures(
+                job.name, map_crashes=[0, 2, 0, 0], reduce_crashes=[1, 0, 0, 0]
+            )
+        )
+        serial = Cluster(2).run_job(job, _LINES, **kwargs)
         process = Cluster(2, executor=ParallelExecutor(WORKERS)).run_job(
             _wordcount_job(), _LINES, **kwargs
         )
+        assert [t.num_failed_attempts for t in serial.map_tasks] == [0, 2, 0, 0]
         assert job_fingerprint(serial) == job_fingerprint(process)
 
     def test_empty_input_parity(self):

@@ -118,7 +118,7 @@ class TestRunSpecValidation:
     """Incoherent specs fail at construction with actionable messages."""
 
     def test_valid_spec_passes_and_chains(self, citeseer_cfg):
-        spec = RunSpec(None, citeseer_cfg, machines=3, balance="blocksplit")
+        spec = RunSpec(None, citeseer_cfg, machines=3, balance="pairrange")
         assert spec.validate() is spec
 
     def test_unknown_balance_rejected(self, citeseer_cfg):
@@ -150,10 +150,10 @@ class TestRunSpecValidation:
             RunSpec(None, citeseer_cfg, faults="chaos")
         RunSpec(None, citeseer_cfg, faults=FaultPlan(seed=0))  # real plan OK
 
-    def test_blocksplit_needs_tree_routing(self, citeseer_cfg):
+    def test_pairrange_needs_tree_routing(self, citeseer_cfg):
         block_routed = dataclasses.replace(citeseer_cfg, routing="block")
-        with pytest.raises(ValueError, match="blocksplit.*tree routing"):
-            RunSpec(None, block_routed, balance="blocksplit")
+        with pytest.raises(ValueError, match="pairrange.*tree routing"):
+            RunSpec(None, block_routed, balance="pairrange")
 
     def test_all_problems_reported_at_once(self, citeseer_cfg):
         with pytest.raises(ValueError) as excinfo:

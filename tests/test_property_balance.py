@@ -1,15 +1,15 @@
 """Property-based tests: load-balancing invariants over random workloads.
 
-The splitter and placer are pure functions of the schedule's estimates, so
-their invariants are checked directly on synthetic inputs:
+Global PairRange is a pure function of the schedule's estimates, so its
+invariants are checked directly on synthetic inputs:
 
-* shard bounds always partition the pair space ``[0, total_pairs)``
-  exactly — no pair lost, none compared twice;
-* LPT placement is deterministic and insensitive to the order its work
-  units are presented in;
-* on an adversarial single-giant-block workload, ``blocksplit`` never has
+* on an adversarial single-giant-block workload, ``pairrange`` never has
   a worse planned makespan than the untouched ``slack`` baseline, and it
-  actually shards the giant.
+  actually shards the giant;
+* the shards of every split block tile its pair space ``[0, total_pairs)``
+  exactly — no pair lost, none compared twice;
+* the planned makespan stays within one work unit of the mean load, and
+  balancing is deterministic.
 
 Seeds are pinned (``@seed``) so CI failures replay locally; the profile
 machinery in ``conftest.py`` additionally derandomizes under
@@ -17,18 +17,12 @@ machinery in ``conftest.py`` additionally derandomizes under
 """
 
 import copy
-import random
 
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from repro.blocking.blocks import Block
-from repro.core.balance import (
-    apply_balance,
-    place_units,
-    shard_bounds,
-    skew_report,
-)
+from repro.core.balance import BALANCE_STRATEGIES, apply_balance, skew_report
 from repro.core.estimation import BlockEstimate
 from repro.core.schedule import (
     ProgressiveSchedule,
@@ -41,78 +35,7 @@ _WINDOW = 10
 
 
 # ---------------------------------------------------------------------------
-# shard_bounds: exact partition of the pair space
-# ---------------------------------------------------------------------------
-
-
-@seed(20260807)
-@given(
-    total_pairs=st.integers(min_value=0, max_value=100_000),
-    num_shards=st.integers(min_value=1, max_value=64),
-)
-def test_shard_bounds_partition_pair_space(total_pairs, num_shards):
-    bounds = shard_bounds(total_pairs, num_shards)
-    assert len(bounds) == num_shards + 1
-    assert bounds[0] == 0
-    assert bounds[-1] == total_pairs
-    assert bounds == sorted(bounds)
-    # Consecutive [start, stop) ranges tile [0, total_pairs) with no gap
-    # and no overlap, and shard widths are balanced to within one pair.
-    widths = [bounds[i + 1] - bounds[i] for i in range(num_shards)]
-    assert sum(widths) == total_pairs
-    assert all(w >= 0 for w in widths)
-    if total_pairs >= num_shards:
-        assert max(widths) - min(widths) <= 1
-
-
-# ---------------------------------------------------------------------------
-# place_units: deterministic, order-insensitive LPT
-# ---------------------------------------------------------------------------
-
-
-@st.composite
-def work_units(draw):
-    n = draw(st.integers(1, 40))
-    costs = draw(
-        st.lists(
-            st.floats(0.0, 1e4, allow_nan=False, allow_infinity=False),
-            min_size=n,
-            max_size=n,
-        )
-    )
-    return [(f"unit{i:03d}", cost) for i, cost in enumerate(costs)]
-
-
-@seed(20260807)
-@given(
-    units=work_units(),
-    num_tasks=st.integers(1, 12),
-    shuffle_seed=st.integers(0, 2**16),
-)
-def test_place_units_is_order_insensitive(units, num_tasks, shuffle_seed):
-    baseline = place_units(units, num_tasks)
-    shuffled = list(units)
-    random.Random(shuffle_seed).shuffle(shuffled)
-    assert place_units(shuffled, num_tasks) == baseline
-    assert set(baseline) == {key for key, _ in units}
-    assert all(0 <= task < num_tasks for task in baseline.values())
-
-
-@seed(20260807)
-@given(units=work_units(), num_tasks=st.integers(1, 12))
-def test_place_units_respects_lpt_bound(units, num_tasks):
-    """LPT's classic guarantee: makespan <= mean + heaviest unit."""
-    assignment = place_units(units, num_tasks)
-    loads = [0.0] * num_tasks
-    for key, cost in units:
-        loads[assignment[key]] += cost
-    total = sum(cost for _, cost in units)
-    heaviest = max((cost for _, cost in units), default=0.0)
-    assert max(loads) <= total / num_tasks + heaviest + 1e-6
-
-
-# ---------------------------------------------------------------------------
-# blocksplit vs slack on adversarial single-giant workloads
+# pairrange vs slack on adversarial single-giant workloads
 # ---------------------------------------------------------------------------
 
 
@@ -188,13 +111,13 @@ def _giant_size_for(small_sizes, num_tasks):
     small_sizes=st.lists(st.integers(2, 12), min_size=0, max_size=12),
     num_tasks=st.integers(3, 8),
 )
-def test_blocksplit_never_loses_to_slack_on_giant_blocks(small_sizes, num_tasks):
+def test_pairrange_never_loses_to_slack_on_giant_blocks(small_sizes, num_tasks):
     sizes = list(small_sizes) + [_giant_size_for(small_sizes, num_tasks)]
     slack_schedule = _toy_schedule(sizes, num_tasks)
     split_schedule = copy.deepcopy(slack_schedule)
 
     slack_plan = apply_balance(slack_schedule, strategy="slack")
-    split_plan = apply_balance(split_schedule, strategy="blocksplit")
+    split_plan = apply_balance(split_schedule, strategy="pairrange")
 
     assert split_plan.shards, "the giant block was not sharded"
     assert split_plan.after.max <= slack_plan.after.max + 1e-6
@@ -301,7 +224,7 @@ def test_global_pairrange_load_bound(sizes, num_tasks):
     num_tasks=st.integers(1, 8),
 )
 def test_apply_balance_is_deterministic(sizes, num_tasks):
-    for strategy in ("blocksplit", "pairrange", "pairrange-tree"):
+    for strategy in BALANCE_STRATEGIES:
         first = _toy_schedule(sizes, num_tasks)
         second = copy.deepcopy(first)
         plan_a = apply_balance(first, strategy=strategy)

@@ -6,7 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mapreduce import Cluster, MapReduceJob, Mapper, Reducer, SlotPool
+from repro.mapreduce import (
+    Cluster,
+    FaultPlan,
+    MapReduceJob,
+    Mapper,
+    Reducer,
+    RetryPolicy,
+)
+
+from scheduling_reference import SlotPool
 
 records_strategy = st.lists(
     st.text(alphabet="abc ", min_size=0, max_size=12), min_size=0, max_size=40
@@ -61,13 +70,14 @@ class TestEngineProperties:
         for task in result.map_tasks + result.reduce_tasks:
             assert task.end_time - task.start_time == pytest.approx(task.cost)
 
-    @given(records_strategy)
+    @given(records_strategy, st.integers(0, 2**32))
     @settings(max_examples=25, deadline=None)
-    def test_failures_never_change_output(self, lines):
+    def test_failures_never_change_output(self, lines, seed):
         clean = Cluster(2).run_job(_job(), lines)
-        failed = Cluster(2).run_job(
-            _job(), lines, map_failures={0: 1}, reduce_failures={0: 2}
+        plan = FaultPlan(
+            seed=seed, fault_rate=0.3, retry=RetryPolicy(max_attempts=1000)
         )
+        failed = Cluster(2, faults=plan).run_job(_job(), lines)
         assert sorted(clean.output) == sorted(failed.output)
         assert failed.end_time >= clean.end_time - 1e-9
 
@@ -99,7 +109,8 @@ class _ScanSlotPool:
 
 
 class TestSlotPoolProperties:
-    """The heap-based SlotPool is observably identical to the scan."""
+    """The heap-based reference SlotPool the zero-rate scheduling oracles
+    compare against is observably identical to the plain scan."""
 
     @given(
         st.integers(1, 9),

@@ -12,7 +12,9 @@ Three properties pin the determinism contract of
    in the fault rate: the failure-decision key includes the task's prior
    failure count, so failure sets are nested as the rate grows.
 3. **Zero-rate identity** — any inert plan (rate 0, no slowdowns, no
-   speculation) schedules byte-identically to having no plan at all.
+   speculation) schedules byte-identically to having no plan at all, and
+   reproduces the reference placement loops of ``scheduling_reference``:
+   a private slot pool, and a multi-tenant lease floored at its grant.
 
 The hypothesis profile is registered in ``conftest.py``; CI runs with
 ``HYPOTHESIS_PROFILE=ci`` (derandomized) so the suite cannot flake.
@@ -21,7 +23,7 @@ The hypothesis profile is registered in ``conftest.py``; CI runs with
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.mapreduce import (
@@ -31,11 +33,12 @@ from repro.mapreduce import (
     JobAbortedError,
     ParallelExecutor,
     RetryPolicy,
-    SlotPool,
     SpeculationConfig,
 )
 from repro.observability import Tracer
+from repro.scheduling import SharedSlotPool
 
+from scheduling_reference import SlotPool, lease_schedule
 from test_executor_parity import _LINES, _wordcount_job, job_fingerprint
 
 #: Generous retry budget: the properties are about timelines, not aborts.
@@ -116,6 +119,46 @@ class TestSchedulerProperties:
             win = schedules[task_id].winning
             assert (win.start, win.end, win.slot) == (start, end, slot)
             assert len(schedules[task_id].attempts) == 1
+
+    @example(seed=0, costs=[2.0], lanes=[5.0, 3.0], floor=10.0)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32),
+        costs=costs_lists,
+        lanes=st.lists(
+            st.floats(min_value=0.0, max_value=60.0), min_size=1, max_size=5
+        ),
+        floor=st.floats(min_value=0.0, max_value=40.0),
+    )
+    def test_inert_plan_on_a_lease_equals_lease_schedule(
+        self, seed, costs, lanes, floor
+    ):
+        """On a multi-tenant lease, a zero-rate plan plus ``commit_fault``
+        reproduces the reference per-task lease loop.  Among lanes free
+        before the grant floor the two may pick different indices (lanes
+        ``[5, 3]`` at floor 10), so the oracle compares each task's window
+        and the lanes' free times floored at the grant."""
+        pool = SharedSlotPool(len(lanes), 1)
+        pool.lanes("map")[:] = lanes
+        lease = pool.lease("map", job="j", phase="map", tenant="t", floor=floor)
+        scheduler = FaultScheduler(
+            FaultPlan(seed=seed), len(lanes), floor, job="j", phase="map",
+            slot_free_times=lease.lane_free_times,
+        )
+        schedules = scheduler.run(costs)
+        lease.commit_fault(scheduler.final_free_times, schedules)
+
+        reference_lanes = list(lanes)
+        busy = 0.0
+        for task_id, cost in enumerate(costs):
+            start, end, _ = lease_schedule(reference_lanes, floor, cost)
+            busy += end - start
+            win = schedules[task_id].winning
+            assert (win.start, win.end) == (start, end)
+            assert len(schedules[task_id].attempts) == 1
+        assert sorted(max(free, floor) for free in pool.lanes("map")) == sorted(
+            max(free, floor) for free in reference_lanes
+        )
+        assert lease.slot_seconds == busy
 
 
 class TestEngineProperties:

@@ -77,11 +77,11 @@ class TestDeltaPlanning:
         assert not plan.shards
         assert plan.planned[label] == 2
 
-    def test_blocksplit_shards_oversized_blocks(self):
+    def test_pairrange_shards_oversized_blocks(self):
         big = [(i, True) for i in range(40)]
         small = [(100, True), (101, False)]
         affected = {("X", "big"): big, ("X", "sm"): small}
-        plan = plan_delta(affected, num_reduce_tasks=4, balance="blocksplit")
+        plan = plan_delta(affected, num_reduce_tasks=4, balance="pairrange")
         big_label = route_label(("X", "big"))
         assert len(plan.routes[big_label]) > 1
         # Shards tile the anchor range [1, 40) without overlap.

@@ -9,7 +9,7 @@ compute, because task payloads are computed before placement and fault
 decisions key on task ids and attempt ordinals, not on absolute times.
 
 The oracle runs the grid backend × balance × fault (serial/process ×
-slack/blocksplit × clean/faulty).  The faulty plan injects crashes,
+slack/pairrange × clean/faulty).  The faulty plan injects crashes,
 retries and a straggler slot but **no speculation**: speculative
 kill/win accounting is legitimately placement-dependent (a busier
 timeline changes which attempt finishes first), so it is exercised by
@@ -34,7 +34,7 @@ from repro.similarity import citeseer_matcher
 
 MACHINES = 3
 BACKENDS = ("serial", "process")
-BALANCES = ("slack", "blocksplit")
+BALANCES = ("slack", "pairrange")
 FAULT_PLANS = {
     "clean": None,
     # Crashes + retries + a slow slot, but no speculation: speculative

@@ -26,6 +26,7 @@ from repro.mapreduce import (
 )
 from repro.observability import MetricsRegistry, Tracer
 
+from scheduling_reference import plan_with_failures
 from test_executor_parity import (
     _LINES,
     WORKERS,
@@ -223,10 +224,11 @@ class TestSpanCoverage:
                 context.write((key, len(values)))
 
         tracer = Tracer()
-        Cluster(1, tracer=tracer).run_job(
-            MapReduceJob(Identity, Count, name="retry-job"),
-            ["a", "b"],
-            map_failures={0: 2},
+        plan = plan_with_failures(
+            "retry-job", map_crashes=[2, 0], reduce_crashes=[0, 0]
+        )
+        Cluster(1, tracer=tracer, faults=plan).run_job(
+            MapReduceJob(Identity, Count, name="retry-job"), ["a", "b"]
         )
         attempts = [s for s in tracer.spans if s.category == "attempt"]
         assert len(attempts) == 2
